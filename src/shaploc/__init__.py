@@ -38,6 +38,7 @@ from .shapley import (
     all_shapley,
     exact_shapley,
     sampled_shapley,
+    shapley_from_values,
     shapley_weight,
     truncated_shapley,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "run_suite",
     "run_trial",
     "sampled_shapley",
+    "shapley_from_values",
     "shapley_weight",
     "simulate_scores",
     "truncated_shapley",

@@ -10,17 +10,26 @@ model, small when they are typical.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .coalitions import Coalition
 
 # Exact coalition enumeration is capped well below anything a desk machine
-# can chew through; the model shares the cap so marginal caches stay bounded.
+# can chew through; the model shares the cap so its factor tables stay bounded.
 MAX_SENSORS = 24
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# observations per tile of the coalition-value kernel are chosen so each of
+# its two scratch buffers stays within this many doubles (cache-sized)
+_TILE_ELEMENTS = 1 << 18
+
+# the kernel handles sensor k together with the sensors below it while the
+# coalitions below k number at most this many per tile: there, one numpy
+# call costs more than the arithmetic it does
+_SMALL_BLOCK = 1 << 8
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -41,6 +50,16 @@ def check_observation(values, n: int) -> np.ndarray:
     return x
 
 
+def _check_rows(xs, n: int) -> np.ndarray:
+    """Validate a batch of observations: shape (m, n), all entries finite."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != n:
+        raise DimensionMismatchError(f"observations have shape {xs.shape}, expected (m, {n})")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("observations contain non-finite entries")
+    return xs
+
+
 class GaussianModel:
     """Immutable N-sensor Gaussian model with cached factorizations.
 
@@ -50,12 +69,9 @@ class GaussianModel:
         Mean reading of each sensor.
     cov : array_like, shape (n, n)
         Covariance of the readings; must be symmetric positive definite.
-    cache_marginals : bool
-        Keep the per-coalition marginal factorizations.  Disable for bulk
-        enumeration at large n, where the cache would hold 2^n factors.
     """
 
-    def __init__(self, mean, cov, cache_marginals: bool = True):
+    def __init__(self, mean, cov):
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         n = mean.shape[0]
@@ -87,9 +103,7 @@ class GaussianModel:
         self._chol = chol
         for arr in (self._mean, self._cov, self._chol):
             arr.setflags(write=False)
-        # per-coalition marginal factorizations, keyed by bit mask
-        self._cache_marginals = cache_marginals
-        self._marginals: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, float]] = {}
+        self._cov_rows = cov.tolist()  # Python floats for the one-coalition path
 
     @property
     def n(self) -> int:
@@ -128,45 +142,155 @@ class GaussianModel:
     # ------------------------------------------------------------------
     # marginal densities
 
-    def _marginal(self, s: Coalition):
-        """(index array, sub-mean, lower Cholesky, log-normalizer) for S."""
-        entry = self._marginals.get(s.bits)
-        if entry is not None:
-            return entry
+    def _score(self, s: Coalition, d):
+        """-ln f_S(x_S), given the deviations ``d`` = x - mean of all n sensors.
+
+        Entries of ``d`` are numbers (one observation) or equal-length
+        arrays (one entry per observation).  The chain rule runs along the
+        members of S in increasing order with exactly the arithmetic of
+        ``_chain_factors`` and ``coalition_values``, so a coalition scores
+        the same bits either way.
+        """
         if s.n != self._n:
             raise DimensionMismatchError(
                 f"coalition universe {s.n} does not match model with {self._n} sensors"
             )
         if not s:
             raise ValueError("marginal density of the empty coalition is undefined")
-        idx = np.fromiter(s, dtype=np.intp)
-        sub_mean = self._mean[idx]
-        sub_cov = self._cov[np.ix_(idx, idx)]
-        try:
-            sub_chol = np.linalg.cholesky(sub_cov)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD minors of SPD
-            raise NotPositiveDefiniteError("marginal covariance not positive definite") from exc
-        log_norm = 0.5 * len(idx) * _LOG_2PI + float(np.sum(np.log(np.diag(sub_chol))))
-        entry = (idx, sub_mean, sub_chol, log_norm)
-        if self._cache_marginals:
-            self._marginals[s.bits] = entry
-        return entry
+        idx = s.indices()
+        # lower triangle of the members' covariance, conditioned on each
+        # member in turn; the kernel never reads the upper one either
+        cond = [[self._cov_rows[a][b] for b in idx[: i + 1]] for i, a in enumerate(idx)]
+        res = [d[j] for j in idx]
+        pivots, squares = [], []
+        for k, (row, e) in enumerate(zip(cond, res)):
+            pivot = row[k]
+            pivots.append(pivot)
+            squares.append(e * e * (0.5 / pivot))
+            for a in range(k + 1, len(idx)):
+                gamma = cond[a][k] / pivot
+                res[a] = res[a] - gamma * e
+                for b in range(k + 1, a + 1):
+                    cond[a][b] = cond[a][b] - gamma * cond[b][k]
+        score = 0.0
+        for square, half_log_var in zip(squares, (0.5 * (_LOG_2PI + np.log(pivots))).tolist()):
+            score = score + (square + half_log_var)
+        return score
 
     def marginal_log_density(self, s: Coalition, x) -> float:
         """ln f_S(x_S) for the Gaussian marginal over the sensors in S."""
-        idx, sub_mean, sub_chol, log_norm = self._marginal(s)
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self._n,):
-            raise DimensionMismatchError(f"observation has shape {x.shape}, expected ({self._n},)")
-        y = solve_triangular(sub_chol, x[idx] - sub_mean, lower=True, check_finite=False)
-        return float(-0.5 * (y @ y) - log_norm)
+        return -float(self._score(s, (check_observation(x, self._n) - self._mean).tolist()))
 
     def marginal_log_density_batch(self, s: Coalition, xs: np.ndarray) -> np.ndarray:
         """ln f_S(x_S) for every row of ``xs`` (shape (m, n))."""
-        idx, sub_mean, sub_chol, log_norm = self._marginal(s)
-        diff = xs[:, idx] - sub_mean
-        y = solve_triangular(sub_chol, diff.T, lower=True, check_finite=False)
-        return -0.5 * np.einsum("ij,ij->j", y, y) - log_norm
+        return -self._score(s, (_check_rows(xs, self._n) - self._mean).T)
+
+    # ------------------------------------------------------------------
+    # every coalition at once, by the chain rule
+
+    @cached_property
+    def _chain_factors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per-sensor factors of the chain-rule kernel, about 3 * 2^n doubles.
+
+        Coalition ``2^k + t`` (highest sensor k, t a mask over sensors below
+        k) scores v(t) - ln f(x_k | x_t) = v(t) + 0.5 ln(2 pi c) + 0.5 e^2 / c,
+        with c = Var(x_k | x_t) and e the residual of x_k given x_t.  Entry k
+        holds, for every t < 2^k, ``half_log_var`` = 0.5 ln(2 pi c) and
+        ``half_precision`` = 0.5 / c, shape (2^k, 1), and ``gamma``, shape
+        (n-k-1, 2^k, 1): adding k to t updates the residual of each higher
+        sensor j by e_{j|t+k} = e_{j|t} - gamma[j-k-1, t] e_{k|t}.
+
+        All come from one Schur-complement recursion: ``cond[t]`` is the
+        conditional covariance of sensors k..n-1 given x_t.
+        """
+        n = self._n
+        factors = []
+        cond = self._cov[None].copy()
+        for k in range(n):
+            pivot = cond[:, :1, 0]
+            gamma = cond[:, 1:, 0] / pivot
+            factors.append((
+                0.5 * (_LOG_2PI + np.log(pivot)),
+                0.5 / pivot,
+                np.ascontiguousarray(gamma.T)[:, :, None],
+            ))
+            rest = cond[:, 1:, 1:]
+            cond = np.concatenate((rest, rest - gamma[:, :, None] * cond[:, None, 1:, 0]))
+        return factors
+
+    def _small_levels(self, width: int) -> int:
+        """How many of the lowest sensors share one padded block of ``width`` observations."""
+        return min(self._n, max(0, (_SMALL_BLOCK // width).bit_length() - 1))
+
+    @cached_property
+    def _padded_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(half_log_var, half_precision) of the small levels, padded to (K, 2^K, 1)."""
+        k_max = self._small_levels(1)
+        padded = np.zeros((2, k_max, 1 << k_max, 1))
+        for k, (half_log_var, half_precision, _) in enumerate(self._chain_factors[:k_max]):
+            padded[0, k, : 1 << k] = half_log_var
+            padded[1, k, : 1 << k] = half_precision
+        return padded[0], padded[1]
+
+    def coalition_values(self, xs) -> np.ndarray:
+        """Anomaly scores of every coalition for every observation.
+
+        ``xs`` has shape (m, n); the result has shape (2^n, m) and row
+        ``mask`` holds -ln f_S(x_S) for the coalition with that bit mask
+        (row 0, the empty coalition, is 0).  Every operation is elementwise
+        over observations, so a column's values do not depend on m.
+        """
+        xs = _check_rows(xs, self._n)
+        n = self._n
+        m = xs.shape[0]
+        factors = self._chain_factors
+        values = np.empty((1 << n, m))
+        values[0] = 0.0
+        d = (xs - self._mean).T
+        # a residual block takes at most 2^(n-1) * width doubles; two
+        # buffers are reused across blocks and tiles
+        width = max(1, min(m, _TILE_ELEMENTS >> n))
+        buffers = np.empty((2, width << n >> 1))
+        small = self._small_levels(width)
+        half_log_var_pad, half_precision_pad = self._padded_terms
+        for lo in range(0, m, width):
+            cols = slice(lo, lo + width)
+            # the lowest `small` sensors have few coalitions below them: one
+            # padded block res[j, t], the residual of sensor j given mask t,
+            # takes each of their steps for all higher sensors at once
+            block = d[:, cols]
+            res = np.zeros((n, 1 << small, block.shape[1]))
+            res[:, 0] = block
+            for k in range(small):
+                gamma = factors[k][2]
+                added = res[k + 1 :, 1 << k : 2 << k]
+                np.multiply(gamma, res[k, : 1 << k], out=added)
+                np.subtract(res[k + 1 :, : 1 << k], added, out=added)
+            term = res[:small]
+            term *= term
+            term *= half_precision_pad[:small, : 1 << small]
+            term += half_log_var_pad[:small, : 1 << small]
+            for k in range(small):
+                np.add(values[: 1 << k, cols], term[k, : 1 << k], out=values[1 << k : 2 << k, cols])
+            # the rest grow the block one sensor at a time:
+            # res[j - k, t] is the residual of sensor j >= k given mask t < 2^k
+            res = res[small:]
+            for k in range(small, n):
+                half_log_var, half_precision, gamma = factors[k]
+                shape = (n - k - 1, 2 << k, res.shape[2])
+                grown = buffers[k % 2, : math.prod(shape)].reshape(shape)
+                grown[:, : 1 << k] = res[1:]
+                np.multiply(gamma, res[0], out=grown[:, 1 << k :])
+                np.subtract(res[1:], grown[:, 1 << k :], out=grown[:, 1 << k :])
+                # sensor k's residuals are spent: turn them into its score
+                # terms while they are in cache
+                term = res[0]
+                term *= term
+                term *= half_precision
+                term += half_log_var
+                np.add(values[: 1 << k, cols], term, out=values[1 << k : 2 << k, cols])
+                res = grown
+        return values
 
     # ------------------------------------------------------------------
     # anomaly score

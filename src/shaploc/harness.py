@@ -21,9 +21,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .attacks import AttackSpec, offsets_from_uniforms
-from .coalitions import Coalition
 from .gaussian import GaussianModel
-from .shapley import shapley_weight
+from .shapley import shapley_from_values
 
 Z_95 = 1.96
 
@@ -141,21 +140,10 @@ def _simulate_chunk(
     for col, j in enumerate(targets):
         xs[attacked, j] += offsets[attacked, col]
 
-    # negative log marginal density of every coalition, vectorized over trials
-    values = np.empty((1 << n, count))
-    values[0] = 0.0
-    for mask in range(1, 1 << n):
-        values[mask] = -model.marginal_log_density_batch(Coalition(mask, n), xs)
-
+    values = model.coalition_values(xs)
     i = config.sensor_under_test
-    bit = 1 << i
-    low = bit - 1
-    weights = [shapley_weight(c, n) for c in range(n)]
-    phi = np.zeros(count)
-    for sub in range(1 << (n - 1)):
-        mask = ((sub & ~low) << 1) | (sub & low)
-        phi += weights[mask.bit_count()] * (values[mask | bit] - values[mask])
-    return phi, values[bit], attacked
+    # copy the single-term row so callers do not keep the (2^n, count) table alive
+    return shapley_from_values(values, i), values[1 << i].copy(), attacked
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> ScorePair:
@@ -170,8 +158,10 @@ def simulate_scores(
     config: ExperimentConfig, chunk: int = 1 << 17
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All trial scores and labels, computed in deterministic chunks."""
-    # bound the 2^n x chunk scratch space
-    chunk = max(1024, min(chunk, (1 << 24) >> config.model.n))
+    if chunk < 1:
+        raise ValueError("chunk must hold at least one trial")
+    # bound the 2^n x chunk coalition table to 2^24 entries for every n
+    chunk = min(chunk, (1 << 24) >> config.model.n)
     phis, vs, labels = [], [], []
     for start in range(0, config.trials, chunk):
         count = min(chunk, config.trials - start)
@@ -211,7 +201,9 @@ def _error_curve(scores: np.ndarray, labels: np.ndarray):
     n_att = int(np.count_nonzero(labels))
     if n_att == 0 or n_att == m:
         raise DegenerateLabelsError("threshold optimization needs both classes")
-    order = np.argsort(scores, kind="stable")
+    # any order of tied scores will do: both optimizers cut only between
+    # distinct values
+    order = np.argsort(scores)
     s = scores[order]
     att_below = np.concatenate(([0], np.cumsum(labels[order])))
     clean_below = np.arange(m + 1) - att_below

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
 from .coalitions import Coalition
+from .gaussian import GaussianValueFunction, check_observation
 
 MAX_EXACT_SENSORS = 24
 
@@ -82,11 +84,111 @@ def _check_universe(n: int) -> None:
         )
 
 
-def _subsets_excluding(n: int, i: int):
-    """Yield every mask over n bits with bit i clear, via (n-1)-bit counting."""
-    low = (1 << i) - 1
-    for sub in range(1 << (n - 1)):
-        yield ((sub & ~low) << 1) | (sub & low)
+def _values(v: ValueFunction, x) -> np.ndarray:
+    """v(S, x) for every coalition S, indexed by bit mask.
+
+    A Gaussian value function is scored by its model's chain-rule kernel;
+    any other takes one call per coalition.
+    """
+    n = v.n
+    if isinstance(v, GaussianValueFunction):
+        return v.model.coalition_values(check_observation(x, n)[None, :])[:, 0]
+    return np.array([v(Coalition(mask, n), x) for mask in range(1 << n)], dtype=float)
+
+
+@lru_cache(maxsize=4)
+def _pair_weights(n: int) -> np.ndarray:
+    """Shapley weight of each coalition excluding a sensor, in (n-1)-bit counting order."""
+    sizes = np.zeros(1, dtype=np.intp)
+    for _ in range(n - 1):
+        sizes = np.concatenate((sizes, sizes + 1))  # popcounts of 0 .. 2^(n-1) - 1
+    weights = np.array([shapley_weight(c, n) for c in range(n)])[sizes]
+    weights.setflags(write=False)  # shared by every caller through the cache
+    return weights
+
+
+# a scratch block of the transform holds at most this many doubles, so it
+# stays in cache; the sums do not depend on it
+_BLOCK_ELEMENTS = 1 << 18
+
+# the sums run over the low bits of the coalition index in this many lanes
+_LANES = 64
+
+
+def _tree_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of a (2^p, ...) array by in-place halving; overwrites ``a``."""
+    rows = a.shape[0]
+    while rows > 1:
+        rows //= 2
+        a[:rows] += a[rows : 2 * rows]
+    return a[0]
+
+
+def _transform(table: np.ndarray, sensors, weights: np.ndarray) -> np.ndarray:
+    """Weighted sums of v(S + i) - v(S) over coalitions S excluding i.
+
+    ``table`` has shape (2^n, m); ``weights`` has one entry per excluded
+    coalition in (n-1)-bit counting order.  Returns shape (len(sensors), m).
+
+    The order of the additions is fixed by n alone, so every column's sum is
+    the same bits whatever m is: the coalition index is split into a lane
+    (its low bits) and a high part; each lane is summed over the high part
+    in increasing order (numpy reduces an axis that is not the innermost one
+    element by element), then the lanes by a pairwise tree.  A scratch block
+    holds every ``blocks``-th lane, and sensors that fit share a block.
+    """
+    size, m = table.shape
+    rows = size // 2
+    lanes = min(_LANES, rows)
+    blocks = 1
+    while blocks < lanes // 2 and rows // blocks * m > _BLOCK_ELEMENTS:
+        blocks *= 2
+    per_block = rows // blocks
+    group = max(1, _BLOCK_ELEMENTS // (per_block * m))
+    scratch = np.empty((min(group, len(sensors)), per_block, m))
+    sums = np.empty((lanes, min(group, len(sensors)), m))
+    phi = np.empty((len(sensors), m))
+    for first in range(0, len(sensors), group):
+        batch = sensors[first : first + group]
+        block, lane_sums = scratch[: len(batch)], sums[:, : len(batch)]
+        for t in range(blocks):
+            for r, i in enumerate(batch):
+                per = 1 << i
+                pairs = table.reshape(-1, 2, per, m)  # [higher bits, bit i, lower bits]
+                if blocks <= per:
+                    high, low = slice(None), slice(t, None, blocks)
+                else:
+                    high, low = slice(t // per, None, blocks // per), t % per
+                hi, lo = pairs[high, 1, low], pairs[high, 0, low]
+                # short contiguous runs are faster to iterate across
+                order = "F" if per * m < 8 else "K"
+                np.subtract(hi, lo, out=block[r].reshape(hi.shape), order=order)
+            block *= weights[t::blocks, None]
+            by_lane = block.reshape(len(batch), -1, lanes // blocks, m)
+            np.add.reduce(by_lane, axis=1, out=lane_sums[t::blocks].transpose(1, 0, 2))
+        phi[first : first + len(batch)] = _tree_sum(lane_sums)
+    return phi
+
+
+def shapley_from_values(values, i: int | None = None) -> np.ndarray:
+    """Shapley values from a table of coalition values.
+
+    ``values`` has shape (2^n,) or (2^n, m); row ``mask`` holds v(S) for the
+    coalition with that bit mask.  Returns phi of shape (n,) or (n, m), or
+    only sensor i's row when ``i`` is given.
+    """
+    values = np.asarray(values, dtype=float)
+    size = values.shape[0] if values.ndim in (1, 2) else 0
+    n = size.bit_length() - 1
+    if n < 1 or size != 1 << n:
+        raise ValueError(f"values have shape {values.shape}, expected (2^n,) or (2^n, m)")
+    _check_universe(n)
+    if i is not None and not 0 <= i < n:
+        raise ValueError(f"sensor index {i} out of range for n={n}")
+    sensors = list(range(n)) if i is None else [i]
+    phi = _transform(values.reshape(size, -1), sensors, _pair_weights(n))
+    shape = values.shape[1:] if i is not None else (n,) + values.shape[1:]
+    return phi.reshape(shape)
 
 
 def exact_shapley(v: ValueFunction, x, i: int) -> float:
@@ -95,33 +197,14 @@ def exact_shapley(v: ValueFunction, x, i: int) -> float:
     _check_universe(n)
     if not 0 <= i < n:
         raise ValueError(f"sensor index {i} out of range for n={n}")
-    weights = [shapley_weight(c, n) for c in range(n)]
-    bit = 1 << i
-    total = 0.0
-    for mask in _subsets_excluding(n, i):
-        w = weights[mask.bit_count()]
-        total += w * (
-            v(Coalition(mask | bit, n), x) - v(Coalition(mask, n), x)
-        )
-    return total
+    return float(shapley_from_values(_values(v, x), i))
 
 
 def all_shapley(v: ValueFunction, x) -> ShapleyResult:
     """Shapley values of every sensor, evaluating each coalition once."""
     n = v.n
     _check_universe(n)
-    values = np.empty(1 << n)
-    for mask in range(1 << n):
-        values[mask] = v(Coalition(mask, n), x)
-    weights = [shapley_weight(c, n) for c in range(n)]
-    phi = np.zeros(n)
-    for i in range(n):
-        bit = 1 << i
-        acc = 0.0
-        for mask in _subsets_excluding(n, i):
-            acc += weights[mask.bit_count()] * (values[mask | bit] - values[mask])
-        phi[i] = acc
-    return ShapleyResult(phi=phi, evaluations=1 << n)
+    return ShapleyResult(phi=shapley_from_values(_values(v, x)), evaluations=1 << n)
 
 
 def truncated_shapley(
@@ -132,20 +215,17 @@ def truncated_shapley(
     _check_universe(n)
     if not 0 <= i < n:
         raise ValueError(f"sensor index {i} out of range for n={n}")
-    weights = [shapley_weight(c, n) for c in range(n)]
-    bit = 1 << i
-    total = 0.0
-    mass = 0.0
-    for mask in _subsets_excluding(n, i):
-        s = Coalition(mask, n)
-        if not keep(s):
-            continue
-        w = weights[mask.bit_count()]
-        total += w * (v(Coalition(mask | bit, n), x) - v(s, x))
-        mass += w
+    low = (1 << i) - 1
+    kept = np.array([
+        bool(keep(Coalition(((sub & ~low) << 1) | (sub & low), n)))
+        for sub in range(1 << (n - 1))
+    ])
+    weights = np.where(kept, _pair_weights(n), 0.0)
+    mass = weights.sum()
     if mass == 0.0:
         raise EmptyKeptSetError("truncation predicate kept no coalition")
-    return total / mass
+    table = _values(v, x)[:, None]
+    return float(_transform(table, (i,), weights)[0, 0] / mass)
 
 
 def sampled_shapley(

@@ -423,49 +423,57 @@ def render_rows(
 # complexity bench
 
 
+def _seconds_per_call(fn, min_seconds: float = 0.05) -> float:
+    """Mean wall time of ``fn()``, repeated until the repeats span ``min_seconds``."""
+    calls = 0
+    tic = time.perf_counter()
+    while True:
+        fn()
+        calls += 1
+        elapsed = time.perf_counter() - tic
+        if elapsed >= min_seconds:
+            return elapsed / calls
+
+
 def bench(n_list, reps: int = 2, seed: int = 0) -> list[dict]:
     """Wall-time comparison of full enumeration vs the single-term score.
 
     For each universe size, times ``all_shapley`` and the n single-sensor
-    scores on a random independent model; reports the best of ``reps``
-    repetitions.
+    scores on a random independent model, and reports each statistic's
+    median over ``reps`` rounds (at least 9).  Each timing repeats its call
+    until it is measurable, and the sizes take turns within every round, so
+    a slow or fast phase of the machine reaches all of them; the median
+    ignores the phases that a best-of would pick up.
     """
-    rows = []
+    cases = []
+    for n in n_list:
+        rng = np.random.default_rng((seed, n))
+        variances = rng.uniform(0.5, 2.0, n)
+        vf = GaussianValueFunction(GaussianModel(np.zeros(n), np.diag(variances)))
+        x = vf.model.sample(rng)
+        singles = [Coalition.of([i], n) for i in range(n)]
+        all_shapley(vf, x)  # factorize the model outside the timings
+        cases.append((n, vf, x, singles))
+
+    def single_terms(vf, x, singles):
+        for s in singles:
+            vf(s, x)
+
+    samples = [([], []) for _ in cases]
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for n in n_list:
-            rng = np.random.default_rng((seed, n))
-            variances = rng.uniform(0.5, 2.0, n)
-            model = GaussianModel(
-                np.zeros(n), np.diag(variances), cache_marginals=False
-            )
-            x = model.sample(rng)
-            vf = GaussianValueFunction(model)
-            singles = [Coalition.of([i], n) for i in range(n)]
-
-            t_shapley = float("inf")
-            for _ in range(reps):
-                tic = time.perf_counter()
-                all_shapley(vf, x)
-                t_shapley = min(t_shapley, time.perf_counter() - tic)
-
-            # repeat the cheap statistic until it is measurable; extra reps
-            # because short timings are dominated by scheduling noise
-            inner = max(1, 4000 // n)
-            t_single = float("inf")
-            for _ in range(max(reps, 5)):
-                tic = time.perf_counter()
-                for _ in range(inner):
-                    for s in singles:
-                        vf(s, x)
-                t_single = min(t_single, (time.perf_counter() - tic) / inner)
-
-            rows.append({"n": n, "t_shapley": t_shapley, "t_single": t_single})
+        for _ in range(max(reps, 9)):
+            for (shapley_s, single_s), (n, vf, x, singles) in zip(samples, cases):
+                shapley_s.append(_seconds_per_call(lambda: all_shapley(vf, x)))
+                single_s.append(_seconds_per_call(lambda: single_terms(vf, x, singles)))
     finally:
         if gc_was_enabled:
             gc.enable()
-    return rows
+    return [
+        {"n": n, "t_shapley": float(np.median(shapley_s)), "t_single": float(np.median(single_s))}
+        for (n, *_), (shapley_s, single_s) in zip(cases, samples)
+    ]
 
 
 def render_bench(rows: list[dict]) -> str:

@@ -205,3 +205,95 @@ def test_value_monotone_in_density():
         for j in range(30):
             if dens[i] > dens[j]:
                 assert vals[i] < vals[j]
+
+
+# ----------------------------------------------------------------------
+# every coalition at once
+
+
+def random_spd(n, rng):
+    a = rng.normal(size=(n, n))
+    return a @ a.T / n + np.eye(n)
+
+
+def scalar_values(m, xs):
+    """Oracle: one scalar marginal density per coalition and observation."""
+    n = m.n
+    out = np.zeros((1 << n, len(xs)))
+    for mask in range(1, 1 << n):
+        s = Coalition(mask, n)
+        out[mask] = [-m.marginal_log_density(s, x) for x in xs]
+    return out
+
+
+def test_coalition_values_match_scalar_marginals():
+    rng = np.random.default_rng(30)
+    for n in range(1, 10):
+        m = GaussianModel(rng.normal(scale=2.0, size=n), random_spd(n, rng))
+        xs = m.mean + 3.0 * rng.normal(size=(4, n))
+        got = m.coalition_values(xs)
+        want = scalar_values(m, xs)
+        assert got.shape == (1 << n, 4)
+        assert np.array_equal(got[0], np.zeros(4))
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_coalition_values_strongly_correlated_pair():
+    for rho in (0.95, -0.95):
+        cov = np.diag([1.0, 2.0, 0.5])
+        cov[0, 2] = cov[2, 0] = rho * math.sqrt(cov[0, 0] * cov[2, 2])
+        m = GaussianModel([1.0, -2.0, 0.5], cov)
+        xs = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.0], [-0.5, -2.5, 2.0]])
+        assert np.allclose(m.coalition_values(xs), scalar_values(m, xs), rtol=1e-12, atol=0.0)
+
+
+def test_coalition_values_columns_do_not_depend_on_batch(monkeypatch):
+    import shaploc.gaussian as gaussian
+
+    rng = np.random.default_rng(31)
+    mean, cov = rng.normal(size=7), random_spd(7, rng)
+    xs = GaussianModel(mean, cov).sample(rng, size=100)
+    whole = GaussianModel(mean, cov).coalition_values(xs)
+    # tiles of 1..100 observations; the lowest 0..7 sensors in one block
+    for tile in (1 << 7, 1 << 10, 1 << 16):
+        for small in (1, 1 << 3, 1 << 8):
+            monkeypatch.setattr(gaussian, "_TILE_ELEMENTS", tile)
+            monkeypatch.setattr(gaussian, "_SMALL_BLOCK", small)
+            m = GaussianModel(mean, cov)
+            assert np.array_equal(m.coalition_values(xs), whole)
+            assert np.array_equal(m.coalition_values(xs[37:38]), whole[:, 37:38])
+            assert np.array_equal(m.coalition_values(xs[:61]), whole[:, :61])
+
+
+def test_one_coalition_scores_equal_the_table():
+    rng = np.random.default_rng(32)
+    m = GaussianModel(rng.normal(size=6), random_spd(6, rng))
+    xs = m.sample(rng, size=5) * 2.0
+    table = m.coalition_values(xs)
+    for mask in range(1, 1 << 6):
+        s = Coalition(mask, 6)
+        assert np.array_equal([m.value(s, x) for x in xs], table[mask])
+        assert np.array_equal(-m.marginal_log_density_batch(s, xs), table[mask])
+
+
+def test_batch_inputs_validated():
+    m = biv(1.0, 1.0, 0.3)
+    for bad in (np.zeros(2), np.zeros((4, 3)), np.zeros((2, 4, 2))):
+        with pytest.raises(DimensionMismatchError):
+            m.coalition_values(bad)
+        with pytest.raises(DimensionMismatchError):
+            m.marginal_log_density_batch(Coalition.full(2), bad)
+    assert m.coalition_values(np.zeros((0, 2))).shape == (4, 0)
+    xs = np.zeros((3, 2))
+    xs[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        m.coalition_values(xs)
+    with pytest.raises(ValueError):
+        m.marginal_log_density_batch(Coalition.full(2), xs)
+
+
+def test_cached_marginal_still_checks_universe():
+    m = GaussianModel(np.zeros(3), np.eye(3))
+    m.marginal_log_density(Coalition(1, 3), np.zeros(3))
+    with pytest.raises(DimensionMismatchError):
+        m.marginal_log_density(Coalition(1, 5), np.zeros(3))

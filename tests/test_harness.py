@@ -115,6 +115,34 @@ def test_grid_straddling_gap_is_perfect():
     assert rep.pe == 0.0
 
 
+def grid_brute_force(scores, labels, taus):
+    """Oracle: direct error count at every grid threshold, first minimum wins."""
+    pes = [np.mean((scores > tau) != labels) for tau in taus]
+    best = int(np.argmin(pes))
+    return taus[best], pes[best]
+
+
+def test_tie_heavy_scores_match_brute_force_in_both_modes():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        m = int(rng.integers(50, 3000))
+        # a handful of distinct values, so almost every score is tied
+        scores = rng.integers(0, int(rng.integers(2, 6)), size=m) * 0.5 - 1.0
+        labels = rng.random(m) < 0.5
+        if labels.all() or not labels.any():
+            continue
+        pairs = [ScorePair(s, s, bool(a)) for s, a in zip(scores, labels)]
+        rep = optimize_threshold_exact(pairs, "shapley")
+        tau, pe = brute_force_best(scores, labels)
+        assert rep.pe == pytest.approx(pe, abs=1e-15)
+        assert rep.threshold == tau
+        taus = np.linspace(-2.0, 2.0, 41)
+        rep = optimize_threshold_grid(pairs, "shapley", -2.0, 2.0, 41)
+        tau, pe = grid_brute_force(scores, labels, taus)
+        assert rep.pe == pytest.approx(pe, abs=1e-15)
+        assert rep.threshold == tau
+
+
 def test_grid_converges_to_exact():
     rng = np.random.default_rng(22)
     scores = rng.normal(size=10**4)
@@ -299,3 +327,38 @@ def test_experiment_deterministic_across_chunkings():
     b = simulate_scores(config, chunk=4096)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+def test_chunk_single_term_scores_own_their_data():
+    from shaploc.harness import _simulate_chunk
+
+    config = two_sensor_config(trials=64, seed=11, rho=0.3)
+    phi, v, _ = _simulate_chunk(config, 0, 64)
+    # a view would keep the whole (2^n, count) coalition table alive
+    assert v.base is None or v.base.ndim < 2
+    assert phi.size == v.size == 64
+
+
+def test_chunk_table_bounded_for_large_n(monkeypatch):
+    import shaploc.harness as harness
+
+    n = 20
+    model = GaussianModel(np.zeros(n), np.eye(n))
+    attack = AttackSpec(kind="A", am=1.0, targets=Coalition.of([0], n))
+    config = ExperimentConfig(model=model, attack=attack, trials=40)
+    counts = []
+
+    def fake_chunk(config, start, count):
+        counts.append(count)
+        return np.zeros(count), np.zeros(count), np.zeros(count, dtype=bool)
+
+    monkeypatch.setattr(harness, "_simulate_chunk", fake_chunk)
+    simulate_scores(config)
+    assert counts == [16, 16, 8]
+    assert max(counts) << n <= 1 << 24
+
+
+def test_chunk_size_must_be_positive():
+    config = two_sensor_config(trials=10)
+    with pytest.raises(ValueError):
+        simulate_scores(config, chunk=0)

@@ -14,6 +14,7 @@ from shaploc import (
     all_shapley,
     exact_shapley,
     sampled_shapley,
+    shapley_from_values,
     shapley_weight,
     truncated_shapley,
 )
@@ -279,3 +280,84 @@ def test_sampled_within_four_standard_errors_of_exact():
     se = np.std(probes) / math.sqrt(10**5)
     got = sampled_shapley(vf, x, i, 10**5, rng)
     assert abs(got - exact) < 4 * max(se, 1e-12)
+
+
+# ----------------------------------------------------------------------
+# the transform on a table of values
+
+
+def test_transform_matches_brute_force_on_random_tables():
+    rng = np.random.default_rng(20)
+    for n in range(1, 8):
+        table = rng.normal(size=(1 << n, 3))
+        table[0] = 0.0
+        phi = shapley_from_values(table)
+        assert phi.shape == (n, 3)
+        for c in range(3):
+            game = TableGame(table[:, c])
+            want = [brute_force_shapley(game, None, i, n) for i in range(n)]
+            assert np.allclose(phi[:, c], want, atol=1e-12)
+        i = int(rng.integers(n))
+        assert np.array_equal(shapley_from_values(table, i), phi[i])
+        assert shapley_from_values(table[:, 0]).shape == (n,)
+
+
+def test_transform_sums_do_not_depend_on_batch_or_block(monkeypatch):
+    import shaploc.shapley as shapley
+
+    rng = np.random.default_rng(21)
+    table = rng.normal(size=(1 << 9, 40))
+    whole = shapley_from_values(table)
+    for block in (1, 7, 1 << 6, 1 << 30):
+        monkeypatch.setattr(shapley, "_BLOCK_ELEMENTS", block)
+        assert np.array_equal(shapley_from_values(table), whole)
+        for i in (0, 4, 8):
+            assert np.array_equal(shapley_from_values(table[:, 5:6], i), whole[i, 5:6])
+            assert np.array_equal(shapley_from_values(table[:, 3:30], i), whole[i, 3:30])
+
+
+def test_transform_rejects_bad_tables():
+    for bad in (np.zeros(1), np.zeros(6), np.zeros((2, 2, 2)), np.zeros(())):
+        with pytest.raises(ValueError):
+            shapley_from_values(bad)
+    with pytest.raises(ValueError):
+        shapley_from_values(np.zeros(8), 3)
+
+
+class PlainValueFunction:
+    """The same Gaussian score behind a class the engine cannot recognise."""
+
+    def __init__(self, vf):
+        self.vf = vf
+        self.n = vf.n
+
+    def __call__(self, s, x):
+        return self.vf(s, x)
+
+
+def test_gaussian_fast_path_matches_generic_path():
+    rng = np.random.default_rng(22)
+    for n in (1, 2, 5, 8):
+        a = rng.normal(size=(n, n))
+        m = GaussianModel(rng.normal(size=n), a @ a.T / n + np.eye(n))
+        fast = GaussianValueFunction(m)
+        slow = PlainValueFunction(fast)
+        x = m.sample(rng) + 1.5
+        assert np.allclose(all_shapley(fast, x).phi, all_shapley(slow, x).phi, rtol=0, atol=1e-12)
+        i = n - 1
+        assert exact_shapley(fast, x, i) == pytest.approx(exact_shapley(slow, x, i), abs=1e-12)
+
+        def keep(s):
+            return len(s) <= 2
+
+        assert truncated_shapley(fast, x, i, keep) == pytest.approx(
+            truncated_shapley(slow, x, i, keep), abs=1e-12
+        )
+
+
+def test_gaussian_fast_path_validates_observation():
+    vf = GaussianValueFunction(GaussianModel(np.zeros(3), np.eye(3)))
+    with pytest.raises(ValueError):
+        all_shapley(vf, np.zeros(4))
+    with pytest.raises(ValueError):
+        all_shapley(vf, [0.0, np.nan, 1.0])
