@@ -20,13 +20,9 @@ from .harness import (
     ErrorRateReport,
     ExperimentConfig,
     GridSpec,
-    ScorePair,
     analytic_pe_gaussian,
     binomial_ci,
-    optimize_threshold_exact,
-    optimize_threshold_grid,
     run_experiment,
-    run_trial,
     simulate_scores,
 )
 from .shapley import (
@@ -68,7 +64,6 @@ __all__ = [
     "GaussianValueFunction",
     "GridSpec",
     "NotPositiveDefiniteError",
-    "ScorePair",
     "ShapleyResult",
     "SuiteConfig",
     "UniverseTooLargeError",
@@ -80,14 +75,11 @@ __all__ = [
     "binomial_ci",
     "check_observation",
     "exact_shapley",
-    "optimize_threshold_exact",
-    "optimize_threshold_grid",
     "parse_config",
     "preset_table1",
     "preset_table2",
     "run_experiment",
     "run_suite",
-    "run_trial",
     "sampled_shapley",
     "shapley_from_values",
     "shapley_weight",

@@ -26,11 +26,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # its two scratch buffers stays within this many doubles (cache-sized)
 _TILE_ELEMENTS = 1 << 18
 
-# the kernel handles sensor k together with the sensors below it while the
-# coalitions below k number at most this many per tile: there, one numpy
-# call costs more than the arithmetic it does
-_SMALL_BLOCK = 1 << 8
-
 
 class NotPositiveDefiniteError(ValueError):
     """Covariance admits no Cholesky factorization (degenerate model)."""
@@ -145,11 +140,10 @@ class GaussianModel:
     def _score(self, s: Coalition, d):
         """-ln f_S(x_S), given the deviations ``d`` = x - mean of all n sensors.
 
-        Entries of ``d`` are numbers (one observation) or equal-length
-        arrays (one entry per observation).  The chain rule runs along the
-        members of S in increasing order with exactly the arithmetic of
-        ``_chain_factors`` and ``coalition_values``, so a coalition scores
-        the same bits either way.
+        ``d`` is one observation as a list of Python floats.  The chain rule
+        runs along the members of S in increasing order with exactly the
+        arithmetic of ``_chain_factors`` and ``coalition_values``, so a
+        coalition scores the same bits either way.
         """
         if s.n != self._n:
             raise DimensionMismatchError(
@@ -180,10 +174,6 @@ class GaussianModel:
     def marginal_log_density(self, s: Coalition, x) -> float:
         """ln f_S(x_S) for the Gaussian marginal over the sensors in S."""
         return -float(self._score(s, (check_observation(x, self._n) - self._mean).tolist()))
-
-    def marginal_log_density_batch(self, s: Coalition, xs: np.ndarray) -> np.ndarray:
-        """ln f_S(x_S) for every row of ``xs`` (shape (m, n))."""
-        return -self._score(s, (_check_rows(xs, self._n) - self._mean).T)
 
     # ------------------------------------------------------------------
     # every coalition at once, by the chain rule
@@ -218,20 +208,6 @@ class GaussianModel:
             cond = np.concatenate((rest, rest - gamma[:, :, None] * cond[:, None, 1:, 0]))
         return factors
 
-    def _small_levels(self, width: int) -> int:
-        """How many of the lowest sensors share one padded block of ``width`` observations."""
-        return min(self._n, max(0, (_SMALL_BLOCK // width).bit_length() - 1))
-
-    @cached_property
-    def _padded_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(half_log_var, half_precision) of the small levels, padded to (K, 2^K, 1)."""
-        k_max = self._small_levels(1)
-        padded = np.zeros((2, k_max, 1 << k_max, 1))
-        for k, (half_log_var, half_precision, _) in enumerate(self._chain_factors[:k_max]):
-            padded[0, k, : 1 << k] = half_log_var
-            padded[1, k, : 1 << k] = half_precision
-        return padded[0], padded[1]
-
     def coalition_values(self, xs) -> np.ndarray:
         """Anomaly scores of every coalition for every observation.
 
@@ -248,34 +224,15 @@ class GaussianModel:
         values[0] = 0.0
         d = (xs - self._mean).T
         # a residual block takes at most 2^(n-1) * width doubles; two
-        # buffers are reused across blocks and tiles
+        # buffers take turns across steps and tiles
         width = max(1, min(m, _TILE_ELEMENTS >> n))
         buffers = np.empty((2, width << n >> 1))
-        small = self._small_levels(width)
-        half_log_var_pad, half_precision_pad = self._padded_terms
         for lo in range(0, m, width):
             cols = slice(lo, lo + width)
-            # the lowest `small` sensors have few coalitions below them: one
-            # padded block res[j, t], the residual of sensor j given mask t,
-            # takes each of their steps for all higher sensors at once
-            block = d[:, cols]
-            res = np.zeros((n, 1 << small, block.shape[1]))
-            res[:, 0] = block
-            for k in range(small):
-                gamma = factors[k][2]
-                added = res[k + 1 :, 1 << k : 2 << k]
-                np.multiply(gamma, res[k, : 1 << k], out=added)
-                np.subtract(res[k + 1 :, : 1 << k], added, out=added)
-            term = res[:small]
-            term *= term
-            term *= half_precision_pad[:small, : 1 << small]
-            term += half_log_var_pad[:small, : 1 << small]
-            for k in range(small):
-                np.add(values[: 1 << k, cols], term[k, : 1 << k], out=values[1 << k : 2 << k, cols])
-            # the rest grow the block one sensor at a time:
+            # grow the residual block one sensor at a time: before step k,
             # res[j - k, t] is the residual of sensor j >= k given mask t < 2^k
-            res = res[small:]
-            for k in range(small, n):
+            res = d[:, None, cols].copy()
+            for k in range(n):
                 half_log_var, half_precision, gamma = factors[k]
                 shape = (n - k - 1, 2 << k, res.shape[2])
                 grown = buffers[k % 2, : math.prod(shape)].reshape(shape)

@@ -8,14 +8,14 @@ trials, so their error rates are directly comparable.
 
 Randomness is counter-based: trial j always reads the same slots of a
 Philox stream keyed by the experiment seed, so results are reproducible
-trial-by-trial and independent of chunking or execution order.
+trial by trial and independent of execution order.  Every chunk size, a
+chunk of one trial included, gives each trial the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -40,6 +40,8 @@ class GridSpec:
     steps: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError("grid bounds must be finite")
         if not self.lo < self.hi:
             raise ValueError("grid needs lo < hi")
         if self.steps < 2:
@@ -61,6 +63,8 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if not 0.0 < self.attack_prior < 1.0:
             raise ValueError("attack prior must lie strictly inside (0, 1)")
+        if not 0 <= self.seed < 1 << 128:
+            raise ValueError("seed must lie in [0, 2**128), the Philox key range")
         if not 0 <= self.sensor_under_test < self.model.n:
             raise ValueError(
                 f"sensor under test {self.sensor_under_test} out of range"
@@ -72,23 +76,12 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ScorePair:
-    phi_score: float
-    v_score: float
-    attacked: bool
-
-
-@dataclass(frozen=True)
 class ErrorRateReport:
     statistic: str          # "shapley" or "single-term"
     threshold: float
     pe: float
     ci_halfwidth: float
     trials: int
-    # sum of the two conditional error rates at the same threshold; kept
-    # alongside the prior-weighted pe because published tables sometimes
-    # report this variant instead
-    pe_rate_sum: float = field(default=float("nan"))
 
 
 def binomial_ci(pe: float, m: int) -> float:
@@ -133,7 +126,11 @@ def _simulate_chunk(
 
     attacked = u[:, 0] < config.attack_prior
     z = ndtri(np.clip(u[:, 1 : 1 + n], 1e-300, 1.0))
-    xs = model.mean + z @ model.chol.T
+    # a one-row product would take BLAS's matrix-vector path, which rounds
+    # differently from the matrix-matrix path of larger chunks: run two rows
+    if count == 1:
+        z = np.concatenate((z, z))
+    xs = model.mean + (z @ model.chol.T)[:count]
 
     targets = config.attack.targets.indices()
     offsets = offsets_from_uniforms(config.attack, u[:, 1 + n : k])
@@ -144,14 +141,6 @@ def _simulate_chunk(
     i = config.sensor_under_test
     # copy the single-term row so callers do not keep the (2^n, count) table alive
     return shapley_from_values(values, i), values[1 << i].copy(), attacked
-
-
-def run_trial(config: ExperimentConfig, trial_index: int) -> ScorePair:
-    """Score a single trial; a pure function of (config, trial_index)."""
-    if not 0 <= trial_index < config.trials:
-        raise ValueError(f"trial index {trial_index} out of range")
-    phi, v, attacked = _simulate_chunk(config, trial_index, 1)
-    return ScorePair(float(phi[0]), float(v[0]), bool(attacked[0]))
 
 
 def simulate_scores(
@@ -176,24 +165,12 @@ def simulate_scores(
 # threshold optimization
 
 
-def _pairs_to_arrays(pairs: Sequence[ScorePair], statistic: str):
-    if statistic == "shapley":
-        scores = np.array([p.phi_score for p in pairs])
-    elif statistic == "single-term":
-        scores = np.array([p.v_score for p in pairs])
-    else:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    labels = np.array([p.attacked for p in pairs], dtype=bool)
-    return scores, labels
-
-
 def _error_curve(scores: np.ndarray, labels: np.ndarray):
-    """Sorted scores plus per-cut error counts.
+    """(sorted scores, per-cut error counts).
 
     Cut position c means "the c smallest scores are declared clean"; the
     decision rule is score > threshold.  errors[c] counts misses among the
-    first c plus false alarms among the rest; att_below[c] is the miss count
-    alone.
+    first c plus false alarms among the rest.
     """
     m = scores.size
     if m == 0:
@@ -207,16 +184,12 @@ def _error_curve(scores: np.ndarray, labels: np.ndarray):
     s = scores[order]
     att_below = np.concatenate(([0], np.cumsum(labels[order])))
     clean_below = np.arange(m + 1) - att_below
-    errors = att_below + ((m - n_att) - clean_below)
-    return s, errors, att_below, n_att
+    return s, att_below + ((m - n_att) - clean_below)
 
 
-def _rate_sum(errors_at: int, misses_at: int, n_att: int, m: int) -> float:
-    return misses_at / n_att + (errors_at - misses_at) / (m - n_att)
-
-
-def _optimize_exact(scores: np.ndarray, labels: np.ndarray):
-    s, errors, att_below, n_att = _error_curve(scores, labels)
+def _optimize_exact(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """(tau, pe) minimizing the error over all midpoints of sorted distinct scores."""
+    s, errors = _error_curve(scores, labels)
     m = scores.size
     # candidate cuts: below all scores, between distinct neighbours, above all
     distinct = np.flatnonzero(s[1:] > s[:-1]) + 1
@@ -228,49 +201,16 @@ def _optimize_exact(scores: np.ndarray, labels: np.ndarray):
         tau = math.inf
     else:
         tau = 0.5 * (s[best - 1] + s[best])
-    rate_sum = _rate_sum(int(errors[best]), int(att_below[best]), n_att, m)
-    return float(tau), float(errors[best] / m), rate_sum
+    return float(tau), float(errors[best] / m)
 
 
-def _optimize_grid(scores, labels, lo: float, hi: float, steps: int):
-    s, errors, att_below, n_att = _error_curve(scores, labels)
-    m = scores.size
+def _optimize_grid(scores, labels, lo: float, hi: float, steps: int) -> tuple[float, float]:
+    """(tau, pe) minimizing the error over an equally spaced grid."""
+    s, errors = _error_curve(scores, labels)
     taus = np.linspace(lo, hi, steps)
     cuts = np.searchsorted(s, taus, side="right")
     best_idx = int(np.argmin(errors[cuts]))  # ties -> smallest threshold
-    best = int(cuts[best_idx])
-    rate_sum = _rate_sum(int(errors[best]), int(att_below[best]), n_att, m)
-    return float(taus[best_idx]), float(errors[best] / m), rate_sum
-
-
-def _report(statistic: str, tau: float, pe: float, rate_sum: float, m: int) -> ErrorRateReport:
-    return ErrorRateReport(
-        statistic=statistic,
-        threshold=tau,
-        pe=pe,
-        ci_halfwidth=binomial_ci(pe, m),
-        trials=m,
-        pe_rate_sum=rate_sum,
-    )
-
-
-def optimize_threshold_exact(
-    pairs: Sequence[ScorePair], statistic: str
-) -> ErrorRateReport:
-    """Error-minimizing threshold over all midpoints of sorted distinct scores."""
-    scores, labels = _pairs_to_arrays(pairs, statistic)
-    tau, pe, rate_sum = _optimize_exact(scores, labels)
-    return _report(statistic, tau, pe, rate_sum, scores.size)
-
-
-def optimize_threshold_grid(
-    pairs: Sequence[ScorePair], statistic: str, lo: float, hi: float, steps: int
-) -> ErrorRateReport:
-    """Error-minimizing threshold over an equally spaced grid."""
-    GridSpec(lo, hi, steps)  # validate
-    scores, labels = _pairs_to_arrays(pairs, statistic)
-    tau, pe, rate_sum = _optimize_grid(scores, labels, lo, hi, steps)
-    return _report(statistic, tau, pe, rate_sum, scores.size)
+    return float(taus[best_idx]), float(errors[cuts[best_idx]] / scores.size)
 
 
 def run_experiment(
@@ -282,10 +222,11 @@ def run_experiment(
     for statistic, scores in (("shapley", phi), ("single-term", v)):
         if isinstance(config.threshold_mode, GridSpec):
             g = config.threshold_mode
-            tau, pe, rate_sum = _optimize_grid(scores, labels, g.lo, g.hi, g.steps)
+            tau, pe = _optimize_grid(scores, labels, g.lo, g.hi, g.steps)
         else:
-            tau, pe, rate_sum = _optimize_exact(scores, labels)
-        reports.append(_report(statistic, tau, pe, rate_sum, scores.size))
+            tau, pe = _optimize_exact(scores, labels)
+        ci = binomial_ci(pe, scores.size)
+        reports.append(ErrorRateReport(statistic, tau, pe, ci, scores.size))
     return reports[0], reports[1]
 
 
@@ -301,8 +242,8 @@ def analytic_pe_gaussian(sigma: float, am: float, attack_prior: float = 0.5) -> 
     probability reduces to a one-dimensional function of the cut t,
     minimized here by golden-section search.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (0 < sigma < math.inf and math.isfinite(am)):
+        raise ValueError("sigma must be positive and finite, and am finite")
     p = attack_prior
     if not 0.0 < p < 1.0:
         raise ValueError("attack prior must lie strictly inside (0, 1)")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import gc
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -146,16 +147,22 @@ _EXPERIMENT_KEYS = {
 }
 
 
-def _get_float(section, key, default=None):
+_REQUIRED = object()
+
+
+def _get_float(section, key, default=_REQUIRED):
     raw = section.get(key)
     if raw is None:
-        if default is None:
+        if default is _REQUIRED:
             raise ConfigError(f"[{section.name}] missing required key {key!r}")
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section.name}] {key}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section.name}] {key}: not a finite number: {raw!r}")
+    return value
 
 
 def _get_int(section, key, default):
@@ -197,8 +204,6 @@ def _parse_experiment(section, default_trials: int) -> ExperimentSpec:
         targets = tuple(int(t) for t in targets_raw.replace(",", " ").split())
     except ValueError:
         raise ConfigError(f"[{section.name}] targets: not a sensor list: {targets_raw!r}") from None
-    sigma_a = section.get("sigma_a")
-    um = section.get("um")
     try:
         return ExperimentSpec(
             attack_type=attack_type.strip(),
@@ -208,8 +213,8 @@ def _parse_experiment(section, default_trials: int) -> ExperimentSpec:
             sigma2=_get_float(section, "sigma2", 1.0),
             mu1=_get_float(section, "mu1", 0.0),
             mu2=_get_float(section, "mu2", 0.0),
-            sigma_a=float(sigma_a) if sigma_a is not None else None,
-            um=float(um) if um is not None else None,
+            sigma_a=_get_float(section, "sigma_a", None),
+            um=_get_float(section, "um", None),
             targets=targets,
             sensor_under_test=_get_int(section, "sensor_under_test", 1),
             trials=_get_int(section, "trials", default_trials),

@@ -37,6 +37,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_non_finite_config_numbers_exit_code(tmp_path, capsys):
+    for extra in ("sigma1 = inf", "mu1 = nan", "threshold_mode = grid\ngrid_lo = 0\ngrid_hi = inf\ngrid_steps = 10"):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[experiment.x]\nattack_type = A\nam = 1\ntrials = 200\n{extra}\n")
+        assert main(["run", str(cfg), "--no-timestamp"]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini")]) == 1
 

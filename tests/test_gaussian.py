@@ -154,15 +154,6 @@ def test_quadrature_marginalization_consistency():
         assert integrated == pytest.approx(direct, rel=1e-6)
 
 
-def test_batch_matches_scalar():
-    m = biv(2.0, 1.0, -0.3)
-    xs = np.random.default_rng(4).normal(size=(50, 2))
-    for s in (Coalition.of([0], 2), Coalition.of([1], 2), Coalition.full(2)):
-        batch = m.marginal_log_density_batch(s, xs)
-        scalar = [m.marginal_log_density(s, x) for x in xs]
-        assert np.allclose(batch, scalar, atol=1e-12)
-
-
 # ----------------------------------------------------------------------
 # anomaly score
 
@@ -254,15 +245,13 @@ def test_coalition_values_columns_do_not_depend_on_batch(monkeypatch):
     mean, cov = rng.normal(size=7), random_spd(7, rng)
     xs = GaussianModel(mean, cov).sample(rng, size=100)
     whole = GaussianModel(mean, cov).coalition_values(xs)
-    # tiles of 1..100 observations; the lowest 0..7 sensors in one block
+    # tiles of 1..100 observations
     for tile in (1 << 7, 1 << 10, 1 << 16):
-        for small in (1, 1 << 3, 1 << 8):
-            monkeypatch.setattr(gaussian, "_TILE_ELEMENTS", tile)
-            monkeypatch.setattr(gaussian, "_SMALL_BLOCK", small)
-            m = GaussianModel(mean, cov)
-            assert np.array_equal(m.coalition_values(xs), whole)
-            assert np.array_equal(m.coalition_values(xs[37:38]), whole[:, 37:38])
-            assert np.array_equal(m.coalition_values(xs[:61]), whole[:, :61])
+        monkeypatch.setattr(gaussian, "_TILE_ELEMENTS", tile)
+        m = GaussianModel(mean, cov)
+        assert np.array_equal(m.coalition_values(xs), whole)
+        assert np.array_equal(m.coalition_values(xs[37:38]), whole[:, 37:38])
+        assert np.array_equal(m.coalition_values(xs[:61]), whole[:, :61])
 
 
 def test_one_coalition_scores_equal_the_table():
@@ -273,7 +262,6 @@ def test_one_coalition_scores_equal_the_table():
     for mask in range(1, 1 << 6):
         s = Coalition(mask, 6)
         assert np.array_equal([m.value(s, x) for x in xs], table[mask])
-        assert np.array_equal(-m.marginal_log_density_batch(s, xs), table[mask])
 
 
 def test_batch_inputs_validated():
@@ -281,15 +269,11 @@ def test_batch_inputs_validated():
     for bad in (np.zeros(2), np.zeros((4, 3)), np.zeros((2, 4, 2))):
         with pytest.raises(DimensionMismatchError):
             m.coalition_values(bad)
-        with pytest.raises(DimensionMismatchError):
-            m.marginal_log_density_batch(Coalition.full(2), bad)
     assert m.coalition_values(np.zeros((0, 2))).shape == (4, 0)
     xs = np.zeros((3, 2))
     xs[1, 0] = np.nan
     with pytest.raises(ValueError):
         m.coalition_values(xs)
-    with pytest.raises(ValueError):
-        m.marginal_log_density_batch(Coalition.full(2), xs)
 
 
 def test_cached_marginal_still_checks_universe():

@@ -11,21 +11,19 @@ from shaploc import (
     ExperimentConfig,
     GaussianModel,
     GridSpec,
-    ScorePair,
     analytic_pe_gaussian,
     binomial_ci,
-    optimize_threshold_exact,
-    optimize_threshold_grid,
     run_experiment,
-    run_trial,
     simulate_scores,
 )
+from shaploc.harness import _optimize_exact, _optimize_grid, _simulate_chunk
 
 
-def pairs_from(clean, attacked):
-    return [ScorePair(s, s, False) for s in clean] + [
-        ScorePair(s, s, True) for s in attacked
-    ]
+def arrays_from(clean, attacked):
+    """(scores, labels) with the clean scores first."""
+    scores = np.array(list(clean) + list(attacked), dtype=float)
+    labels = np.arange(scores.size) >= len(clean)
+    return scores, labels
 
 
 def brute_force_best(scores, labels):
@@ -59,21 +57,20 @@ def two_sensor_config(**kw):
 
 
 def test_separable_classes():
-    rep = optimize_threshold_exact(pairs_from([1, 2, 3], [4, 5, 6]), "shapley")
-    assert rep.pe == 0.0
-    assert rep.threshold == pytest.approx(3.5)
-    assert rep.trials == 6
+    tau, pe = _optimize_exact(*arrays_from([1, 2, 3], [4, 5, 6]))
+    assert pe == 0.0
+    assert tau == pytest.approx(3.5)
 
 
 def test_interleaved_classes():
-    rep = optimize_threshold_exact(pairs_from([1, 3], [2, 4]), "single-term")
-    assert rep.pe == pytest.approx(0.25)
+    _, pe = _optimize_exact(*arrays_from([1, 3], [2, 4]))
+    assert pe == pytest.approx(0.25)
 
 
 def test_tie_break_toward_smallest_threshold():
-    rep = optimize_threshold_exact(pairs_from([2.0], [1.0]), "shapley")
-    assert rep.pe == pytest.approx(0.5)
-    assert rep.threshold == -math.inf
+    tau, pe = _optimize_exact(*arrays_from([2.0], [1.0]))
+    assert pe == pytest.approx(0.5)
+    assert tau == -math.inf
 
 
 def test_exact_matches_brute_force_on_random_instances():
@@ -84,11 +81,10 @@ def test_exact_matches_brute_force_on_random_instances():
         labels = rng.random(m) < 0.5
         if labels.all() or not labels.any():
             continue
-        pairs = [ScorePair(s, s, bool(a)) for s, a in zip(scores, labels)]
-        rep = optimize_threshold_exact(pairs, "shapley")
+        got_tau, got_pe = _optimize_exact(scores, labels)
         tau, pe = brute_force_best(scores, labels)
-        assert rep.pe == pytest.approx(pe)
-        assert rep.threshold == pytest.approx(tau)
+        assert got_pe == pytest.approx(pe)
+        assert got_tau == pytest.approx(tau)
 
 
 def test_exact_never_beaten_by_any_grid():
@@ -99,20 +95,17 @@ def test_exact_never_beaten_by_any_grid():
         labels = rng.random(m) < 0.4
         if labels.all() or not labels.any():
             continue
-        pairs = [ScorePair(s, s, bool(a)) for s, a in zip(scores, labels)]
-        exact = optimize_threshold_exact(pairs, "shapley")
+        _, exact_pe = _optimize_exact(scores, labels)
         lo, hi = float(rng.normal(-3)), float(rng.normal(3))
         if lo >= hi:
             lo, hi = hi - 1, lo + 1
-        grid = optimize_threshold_grid(pairs, "shapley", lo, hi, int(rng.integers(2, 50)))
-        assert exact.pe <= grid.pe + 1e-15
+        _, grid_pe = _optimize_grid(scores, labels, lo, hi, int(rng.integers(2, 50)))
+        assert exact_pe <= grid_pe + 1e-15
 
 
 def test_grid_straddling_gap_is_perfect():
-    rep = optimize_threshold_grid(
-        pairs_from([1, 2, 3], [4, 5, 6]), "shapley", 0.0, 10.0, 101
-    )
-    assert rep.pe == 0.0
+    _, pe = _optimize_grid(*arrays_from([1, 2, 3], [4, 5, 6]), 0.0, 10.0, 101)
+    assert pe == 0.0
 
 
 def grid_brute_force(scores, labels, taus):
@@ -131,51 +124,36 @@ def test_tie_heavy_scores_match_brute_force_in_both_modes():
         labels = rng.random(m) < 0.5
         if labels.all() or not labels.any():
             continue
-        pairs = [ScorePair(s, s, bool(a)) for s, a in zip(scores, labels)]
-        rep = optimize_threshold_exact(pairs, "shapley")
+        got_tau, got_pe = _optimize_exact(scores, labels)
         tau, pe = brute_force_best(scores, labels)
-        assert rep.pe == pytest.approx(pe, abs=1e-15)
-        assert rep.threshold == tau
+        assert got_pe == pytest.approx(pe, abs=1e-15)
+        assert got_tau == tau
         taus = np.linspace(-2.0, 2.0, 41)
-        rep = optimize_threshold_grid(pairs, "shapley", -2.0, 2.0, 41)
+        got_tau, got_pe = _optimize_grid(scores, labels, -2.0, 2.0, 41)
         tau, pe = grid_brute_force(scores, labels, taus)
-        assert rep.pe == pytest.approx(pe, abs=1e-15)
-        assert rep.threshold == tau
+        assert got_pe == pytest.approx(pe, abs=1e-15)
+        assert got_tau == tau
 
 
 def test_grid_converges_to_exact():
     rng = np.random.default_rng(22)
     scores = rng.normal(size=10**4)
     labels = rng.random(10**4) < 0.5
-    pairs = [ScorePair(s, s, bool(a)) for s, a in zip(scores, labels)]
-    exact = optimize_threshold_exact(pairs, "shapley")
-    grid = optimize_threshold_grid(pairs, "shapley", -6.0, 6.0, 10**6)
-    assert grid.pe == pytest.approx(exact.pe, abs=1e-12)
+    _, exact_pe = _optimize_exact(scores, labels)
+    _, grid_pe = _optimize_grid(scores, labels, -6.0, 6.0, 10**6)
+    assert grid_pe == pytest.approx(exact_pe, abs=1e-12)
 
 
 def test_grid_entirely_below_scores_declares_everything():
-    pairs = pairs_from([1, 2, 3], [4, 5, 6])
-    rep = optimize_threshold_grid(pairs, "shapley", -100.0, -50.0, 10)
-    assert rep.pe == pytest.approx(0.5)  # all clean trials become false alarms
+    _, pe = _optimize_grid(*arrays_from([1, 2, 3], [4, 5, 6]), -100.0, -50.0, 10)
+    assert pe == pytest.approx(0.5)  # all clean trials become false alarms
 
 
 def test_degenerate_labels_rejected():
     with pytest.raises(DegenerateLabelsError):
-        optimize_threshold_exact(pairs_from([1, 2], []), "shapley")
+        _optimize_exact(*arrays_from([1, 2], []))
     with pytest.raises(DegenerateLabelsError):
-        optimize_threshold_exact(pairs_from([], [1, 2]), "shapley")
-
-
-def test_unknown_statistic_rejected():
-    with pytest.raises(ValueError):
-        optimize_threshold_exact(pairs_from([1], [2]), "phi")
-
-
-def test_rate_sum_field():
-    # 1 miss of 2 attacked, 0 false alarms of 2 clean at the best threshold
-    rep = optimize_threshold_exact(pairs_from([1, 2], [1.5, 4]), "shapley")
-    assert rep.pe == pytest.approx(0.25)
-    assert rep.pe_rate_sum == pytest.approx(0.5)
+        _optimize_exact(*arrays_from([], [1, 2]))
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +200,9 @@ def test_analytic_validation():
         analytic_pe_gaussian(0.0, 1.0)
     with pytest.raises(ValueError):
         analytic_pe_gaussian(1.0, 1.0, attack_prior=1.0)
+    for sigma, am in ((1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            analytic_pe_gaussian(sigma, am)
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +216,21 @@ def test_config_validation():
         two_sensor_config(attack_prior=1.0)
     with pytest.raises(ValueError):
         two_sensor_config(sensor_under_test=2)
+    # seeds are Philox keys, which must lie in [0, 2^128)
+    for seed in (-1, 1 << 128):
+        with pytest.raises(ValueError, match="seed"):
+            two_sensor_config(seed=seed)
+
+
+def test_largest_philox_key_is_accepted():
+    config = two_sensor_config(trials=8, seed=(1 << 128) - 1)
+    assert simulate_scores(config)[0].size == 8
+
+
+def test_grid_bounds_must_be_finite():
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            GridSpec(lo, hi, 10)
 
 
 def test_high_prior_labels_every_trial_attacked():
@@ -245,27 +241,26 @@ def test_high_prior_labels_every_trial_attacked():
 
 def test_trial_determinism():
     config = two_sensor_config(trials=100, seed=42)
-    a = run_trial(config, 57)
-    b = run_trial(config, 57)
-    assert a == b
+    a = _simulate_chunk(config, 57, 1)
+    b = _simulate_chunk(config, 57, 1)
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
 
 
 def test_trial_matches_chunked_simulation():
-    config = two_sensor_config(trials=3000, seed=9, rho=0.5, am=1.0)
-    phi, v, labels = simulate_scores(config, chunk=1024)
-    for j in (0, 1, 1023, 1024, 2999):
-        pair = run_trial(config, j)
-        # scores agree to rounding; the batched solve may take a different
-        # BLAS path than the single-row one
-        assert pair.phi_score == pytest.approx(phi[j], rel=1e-12)
-        assert pair.v_score == pytest.approx(v[j], rel=1e-12)
-        assert pair.attacked == bool(labels[j])
-
-
-def test_trial_index_out_of_range():
-    config = two_sensor_config(trials=10)
-    with pytest.raises(ValueError):
-        run_trial(config, 10)
+    rng = np.random.default_rng(12)
+    n = 10
+    a = rng.normal(size=(n, n))
+    model = GaussianModel(rng.normal(size=n), a @ a.T / n + np.eye(n))
+    attack = AttackSpec(kind="B", am=1.5, sigma_a=0.5, targets=Coalition.of([0, 3], n))
+    configs = (
+        two_sensor_config(trials=3000, seed=9, rho=0.5, am=1.0),
+        ExperimentConfig(model=model, attack=attack, sensor_under_test=3, trials=300, seed=13),
+    )
+    for config in configs:
+        # one-trial chunks score the same bits as the default chunk
+        for x, y in zip(simulate_scores(config, chunk=1), simulate_scores(config)):
+            assert np.array_equal(x, y)
 
 
 def test_independent_model_scores_coincide_per_trial():
@@ -281,6 +276,7 @@ def test_independent_model_scores_coincide_per_trial():
 def test_independent_experiment_reports_identical_pe():
     config = two_sensor_config(trials=50_000, seed=5)
     shap, single = run_experiment(config)
+    assert shap.trials == single.trials == 50_000
     assert shap.pe == single.pe
     assert shap.statistic == "shapley"
     assert single.statistic == "single-term"

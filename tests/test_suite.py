@@ -89,6 +89,27 @@ def test_grid_mode_requires_bounds(tmp_path):
         parse_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("body, key", [
+    ("attack_type = B\nam = 1\nsigma_a = abc", "sigma_a"),
+    ("attack_type = C\nam = 1\num = abc", "um"),
+    ("attack_type = B\nam = 1\nsigma_a = nan", "sigma_a"),
+    ("attack_type = A\nam = 1\nsigma1 = inf", "sigma1"),
+    ("attack_type = A\nam = 1\nmu1 = nan", "mu1"),
+    ("attack_type = A\nam = -inf", "am"),
+    ("attack_type = A\nam = 1\nattack_prior = nan", "attack_prior"),
+])
+def test_float_keys_must_be_finite_numbers(tmp_path, body, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(write(tmp_path, f"[experiment.x]\n{body}\n"))
+
+
+@pytest.mark.parametrize("bounds", ["grid_lo = 0\ngrid_hi = inf", "grid_lo = -inf\ngrid_hi = 1", "grid_lo = nan\ngrid_hi = 1"])
+def test_grid_bounds_must_be_finite(tmp_path, bounds):
+    text = MINIMAL + f"threshold_mode = grid\n{bounds}\ngrid_steps = 10\n"
+    with pytest.raises(ConfigError, match="grid_"):
+        parse_config(write(tmp_path, text))
+
+
 def test_duplicate_names_rejected():
     spec = ExperimentSpec(attack_type="A", am=1.0)
     with pytest.raises(ConfigError, match="unique"):
