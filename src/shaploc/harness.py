@@ -6,6 +6,15 @@ value phi(x_i) of the Gaussian anomaly score, and the single marginal term
 v({i}, x).  Thresholds are then optimized per statistic on the same paired
 trials, so their error rates are directly comparable.
 
+The harness scores one sensor on many trials of one model, so it never
+builds the 2^n coalition table.  For the Gaussian score, phi_i(x) is
+exactly C + d^T A d with d = x - mean, where C and A depend only on the
+model and the sensor (see ``gaussian_shapley_form``).  The form is built
+once per model and sensor, and each trial then costs O(n^2).  The single
+term repeats the coalition kernel's arithmetic for {i}, so it equals the
+kernel's score bit for bit.  The explanation API (``all_shapley`` and
+friends) scores arbitrary observations and stays on the kernel.
+
 Randomness is counter-based: trial j always reads the same slots of a
 Philox stream keyed by the experiment seed, so results are reproducible
 trial by trial and independent of execution order.  Every chunk size, a
@@ -16,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .attacks import AttackSpec, offsets_from_uniforms
-from .gaussian import GaussianModel
-from .shapley import shapley_from_values
+from .gaussian import _LOG_2PI, GaussianModel
+from .shapley import gaussian_shapley_form
 
 Z_95 = 1.96
 
@@ -115,10 +125,10 @@ def _trial_uniforms(seed: int, stride: int, start: int, count: int) -> np.ndarra
     return np.random.Generator(bg).random((count, stride))
 
 
-def _simulate_chunk(
+def _trial_observations(
     config: ExperimentConfig, start: int, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phi_scores, v_scores, attacked labels) for trials start..start+count-1."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(observations, attacked labels) for trials start..start+count-1."""
     model = config.model
     n = model.n
     k, stride = _slot_count(config)
@@ -136,11 +146,48 @@ def _simulate_chunk(
     offsets = offsets_from_uniforms(config.attack, u[:, 1 + n : k])
     for col, j in enumerate(targets):
         xs[attacked, j] += offsets[attacked, col]
+    return xs, attacked
 
-    values = model.coalition_values(xs)
+
+@lru_cache(maxsize=8)
+def _scoring_form(model: GaussianModel, i: int):
+    """(C, coefficients u, 0.5 / var_i, 0.5 ln(2 pi var_i)) of sensor i.
+
+    phi_i = C + sum over a <= b of u[a][b] d_a d_b.  The single-term
+    factors are computed as the coalition kernel computes them for {i}.
+    The cache keeps the last few models alive.
+    """
+    c, a = gaussian_shapley_form(model, i)
+    u = a + a.T
+    np.fill_diagonal(u, np.diag(a))
+    var = model.cov[i, i]
+    return c, u.tolist(), 0.5 / var, 0.5 * (_LOG_2PI + np.log(var))
+
+
+def _simulate_chunk(
+    config: ExperimentConfig, start: int, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phi_scores, v_scores, attacked labels) for trials start..start+count-1.
+
+    Scoring is elementwise over trials, in an order fixed by n, so a
+    trial's scores do not depend on the chunk.
+    """
+    xs, attacked = _trial_observations(config, start, count)
     i = config.sensor_under_test
-    # copy the single-term row so callers do not keep the (2^n, count) table alive
-    return shapley_from_values(values, i), values[1 << i].copy(), attacked
+    c, u, half_precision, half_log_var = _scoring_form(config.model, i)
+    d = np.ascontiguousarray((xs - config.model.mean).T)
+    phi = np.zeros(count)
+    row = np.empty(count)
+    term = np.empty(count)
+    for a, coeffs in enumerate(u):
+        np.multiply(d[a], coeffs[a], out=row)
+        for b in range(a + 1, len(u)):
+            np.multiply(d[b], coeffs[b], out=term)
+            row += term
+        row *= d[a]
+        phi += row
+    phi += c
+    return phi, 0.0 + (d[i] * d[i] * half_precision + half_log_var), attacked
 
 
 def simulate_scores(
@@ -149,8 +196,6 @@ def simulate_scores(
     """All trial scores and labels, computed in deterministic chunks."""
     if chunk < 1:
         raise ValueError("chunk must hold at least one trial")
-    # bound the 2^n x chunk coalition table to 2^24 entries for every n
-    chunk = min(chunk, (1 << 24) >> config.model.n)
     phis, vs, labels = [], [], []
     for start in range(0, config.trials, chunk):
         count = min(chunk, config.trials - start)

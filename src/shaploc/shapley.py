@@ -17,7 +17,7 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 
 from .coalitions import Coalition
-from .gaussian import GaussianValueFunction, check_observation
+from .gaussian import GaussianModel, GaussianValueFunction, check_observation
 
 MAX_EXACT_SENSORS = 24
 
@@ -105,6 +105,68 @@ def _pair_weights(n: int) -> np.ndarray:
     weights = np.array([shapley_weight(c, n) for c in range(n)])[sizes]
     weights.setflags(write=False)  # shared by every caller through the cache
     return weights
+
+
+# the Gaussian form builder keeps its residual coefficients within about
+# this many doubles, beyond the model's chain-rule factor tables
+_FORM_ELEMENTS = 1 << 24
+
+
+def _residual_blocks(factors, n: int, block: int):
+    """Yield (lo, b): b[s] is the last sensor's residual given mask lo + s, as a vector.
+
+    This is the residual recursion of ``GaussianModel.coalition_values``
+    run on the n basis vectors, so row s of b holds the coefficients of
+    e_{n-1 | S} in x - mean.  Masks are grown breadth first up to ``block``
+    of them, then depth first, so at most one block per sensor is alive.
+    """
+
+    def grow(res, k, lo):
+        # res[j - k, s] holds the coefficients of sensor j's residual given mask lo + s
+        if k == n - 1:
+            yield lo, res[0]
+            return
+        width = res.shape[1]
+        gamma = factors[k][2][:, lo : lo + width]
+        if 2 * width <= block:  # then lo = 0 and width = 2^k: add sensor k to every mask
+            yield from grow(np.concatenate((res[1:], res[1:] - gamma * res[0]), axis=1), k + 1, lo)
+        else:
+            yield from grow(res[1:], k + 1, lo)
+            yield from grow(res[1:] - gamma * res[0], k + 1, lo + (1 << k))
+
+    yield from grow(np.eye(n)[:, None, :], 0, 0)
+
+
+def gaussian_shapley_form(model: GaussianModel, i: int) -> tuple[float, np.ndarray]:
+    """(C, A) such that phi_i(x) = C + d^T A d exactly, with d = x - mean.
+
+    Each marginal contribution v(S + i) - v(S) = -ln f(x_i | x_S) equals
+    0.5 ln(2 pi c_S) + 0.5 e_S^2 / c_S, where c_S = Var(x_i | x_S) and the
+    residual e_S = b_S . d is linear in d.  So C is the weighted sum of
+    0.5 ln(2 pi c_S) and A that of (0.5 / c_S) b_S b_S^T over the coalitions
+    S that exclude i.  The chain-rule factors of the model with sensor i
+    moved last give every c_S; the kernel's residual recursion gives b_S.
+    """
+    n = model.n
+    if not 0 <= i < n:
+        raise ValueError(f"sensor index {i} out of range for n={n}")
+    order = [j for j in range(n) if j != i] + [i]
+    factors = GaussianModel(model.mean[order], model.cov[np.ix_(order, order)])._chain_factors
+    half_log_var, half_precision, _ = factors[n - 1]
+    weights = _pair_weights(n)
+    scaled = weights * half_precision[:, 0]
+    # the live residual blocks and one weighted copy take at most
+    # block * n * (n + 3) * (n + 4) / 2 doubles
+    block = 1 << (n - 1)
+    while block > 1 and block * n * (n + 3) * (n + 4) // 2 > _FORM_ELEMENTS:
+        block //= 2
+    a = np.zeros((n, n))
+    for lo, b in _residual_blocks(factors, n, block):
+        a += (b.T * scaled[lo : lo + len(b)]) @ b
+    form = np.empty((n, n))
+    form[np.ix_(order, order)] = a
+    form.setflags(write=False)
+    return float(weights @ half_log_var[:, 0]), form
 
 
 # a scratch block of the transform holds at most this many doubles, so it

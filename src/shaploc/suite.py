@@ -186,12 +186,12 @@ def _parse_experiment(section, default_trials: int) -> ExperimentSpec:
     if mode_raw == "exact-sort":
         mode: GridSpec | str = "exact"
     elif mode_raw == "grid":
+        # the getters' errors already name the section: prefix only GridSpec's
+        lo = _get_float(section, "grid_lo")
+        hi = _get_float(section, "grid_hi")
+        steps = _get_int(section, "grid_steps", 0)
         try:
-            mode = GridSpec(
-                lo=_get_float(section, "grid_lo"),
-                hi=_get_float(section, "grid_hi"),
-                steps=_get_int(section, "grid_steps", 0),
-            )
+            mode = GridSpec(lo=lo, hi=hi, steps=steps)
         except ValueError as exc:
             raise ConfigError(f"[{section.name}] {exc}") from None
     else:
@@ -204,23 +204,24 @@ def _parse_experiment(section, default_trials: int) -> ExperimentSpec:
         targets = tuple(int(t) for t in targets_raw.replace(",", " ").split())
     except ValueError:
         raise ConfigError(f"[{section.name}] targets: not a sensor list: {targets_raw!r}") from None
+    fields = dict(
+        attack_type=attack_type.strip(),
+        am=_get_float(section, "am"),
+        rho=_get_float(section, "rho", 0.0),
+        sigma1=_get_float(section, "sigma1", 1.0),
+        sigma2=_get_float(section, "sigma2", 1.0),
+        mu1=_get_float(section, "mu1", 0.0),
+        mu2=_get_float(section, "mu2", 0.0),
+        sigma_a=_get_float(section, "sigma_a", None),
+        um=_get_float(section, "um", None),
+        targets=targets,
+        sensor_under_test=_get_int(section, "sensor_under_test", 1),
+        trials=_get_int(section, "trials", default_trials),
+        attack_prior=_get_float(section, "attack_prior", 0.5),
+        threshold_mode=mode,
+    )
     try:
-        return ExperimentSpec(
-            attack_type=attack_type.strip(),
-            am=_get_float(section, "am"),
-            rho=_get_float(section, "rho", 0.0),
-            sigma1=_get_float(section, "sigma1", 1.0),
-            sigma2=_get_float(section, "sigma2", 1.0),
-            mu1=_get_float(section, "mu1", 0.0),
-            mu2=_get_float(section, "mu2", 0.0),
-            sigma_a=_get_float(section, "sigma_a", None),
-            um=_get_float(section, "um", None),
-            targets=targets,
-            sensor_under_test=_get_int(section, "sensor_under_test", 1),
-            trials=_get_int(section, "trials", default_trials),
-            attack_prior=_get_float(section, "attack_prior", 0.5),
-            threshold_mode=mode,
-        )
+        return ExperimentSpec(**fields)
     except ConfigError as exc:
         raise ConfigError(f"[{section.name}] {exc}") from None
 

@@ -47,6 +47,22 @@ def test_non_finite_config_numbers_exit_code(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_config_error_names_its_section_once(tmp_path, capsys):
+    for extra in (
+        "sigma1 = inf",                # a float getter's error
+        "trials = many",               # an integer getter's error
+        "rho = 2",                     # ExperimentSpec's error
+        "threshold_mode = grid\ngrid_lo = 0\ngrid_hi = inf\ngrid_steps = 10",
+        "threshold_mode = grid\ngrid_lo = 1\ngrid_hi = 0\ngrid_steps = 10",
+    ):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[experiment.x]\nattack_type = A\nam = 1\n{extra}\n")
+        assert main(["run", str(cfg), "--no-timestamp"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [experiment.x] ")
+        assert err.count("[experiment.x]") == 1
+
+
 def test_missing_file_exit_code(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini")]) == 1
 

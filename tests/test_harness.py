@@ -14,9 +14,15 @@ from shaploc import (
     analytic_pe_gaussian,
     binomial_ci,
     run_experiment,
+    shapley_from_values,
     simulate_scores,
 )
-from shaploc.harness import _optimize_exact, _optimize_grid, _simulate_chunk
+from shaploc.harness import (
+    _optimize_exact,
+    _optimize_grid,
+    _simulate_chunk,
+    _trial_observations,
+)
 
 
 def arrays_from(clean, attacked):
@@ -326,32 +332,44 @@ def test_experiment_deterministic_across_chunkings():
 
 
 def test_chunk_single_term_scores_own_their_data():
-    from shaploc.harness import _simulate_chunk
-
     config = two_sensor_config(trials=64, seed=11, rho=0.3)
     phi, v, _ = _simulate_chunk(config, 0, 64)
-    # a view would keep the whole (2^n, count) coalition table alive
+    # a view would keep the chunk's scratch arrays alive
     assert v.base is None or v.base.ndim < 2
     assert phi.size == v.size == 64
 
 
-def test_chunk_table_bounded_for_large_n(monkeypatch):
-    import shaploc.harness as harness
+def random_config(n, seed, sensor, trials):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    model = GaussianModel(rng.normal(size=n), a @ a.T / n + 0.5 * np.eye(n))
+    attack = AttackSpec(kind="B", am=1.5, sigma_a=0.5, targets=Coalition.of([0, n - 1], n))
+    return ExperimentConfig(
+        model=model, attack=attack, sensor_under_test=sensor, trials=trials, seed=seed
+    )
 
-    n = 20
-    model = GaussianModel(np.zeros(n), np.eye(n))
-    attack = AttackSpec(kind="A", am=1.0, targets=Coalition.of([0], n))
-    config = ExperimentConfig(model=model, attack=attack, trials=40)
-    counts = []
 
-    def fake_chunk(config, start, count):
-        counts.append(count)
-        return np.zeros(count), np.zeros(count), np.zeros(count, dtype=bool)
+def test_experiment_never_scores_the_coalition_table(monkeypatch):
+    def refuse(self, xs):
+        raise AssertionError("the harness built a coalition table")
 
-    monkeypatch.setattr(harness, "_simulate_chunk", fake_chunk)
-    simulate_scores(config)
-    assert counts == [16, 16, 8]
-    assert max(counts) << n <= 1 << 24
+    monkeypatch.setattr(GaussianModel, "coalition_values", refuse)
+    shap, single = run_experiment(random_config(10, 14, 4, 2000))
+    assert shap.trials == single.trials == 2000
+
+
+def test_chunk_scores_match_the_coalition_table():
+    for n, sensor in ((1, 0), (2, 1), (5, 2), (10, 0), (10, 9)):
+        config = random_config(n, 15 + n, sensor, 300)
+        for start, count in ((0, 300), (17, 1), (40, 64)):
+            xs, _ = _trial_observations(config, start, count)
+            table = config.model.coalition_values(xs)
+            phi, v, _ = _simulate_chunk(config, start, count)
+            # the single term runs the kernel's own arithmetic
+            assert np.array_equal(v, table[1 << sensor])
+            # the quadratic form sums the same terms in another order
+            scale = np.max(np.abs(table), axis=0)
+            assert np.all(np.abs(phi - shapley_from_values(table, sensor)) <= 1e-12 * scale)
 
 
 def test_chunk_size_must_be_positive():

@@ -18,6 +18,7 @@ from shaploc import (
     shapley_weight,
     truncated_shapley,
 )
+from shaploc.shapley import gaussian_shapley_form
 
 
 def brute_force_shapley(v, x, i, n):
@@ -361,3 +362,84 @@ def test_gaussian_fast_path_validates_observation():
         all_shapley(vf, np.zeros(4))
     with pytest.raises(ValueError):
         all_shapley(vf, [0.0, np.nan, 1.0])
+
+
+# ----------------------------------------------------------------------
+# the Gaussian Shapley value as a quadratic form
+
+
+def test_form_of_independent_sensors_is_the_single_term():
+    sigma = np.array([0.5, 1.0, 2.0, 3.5])
+    model = GaussianModel([1.0, -2.0, 0.0, 4.0], np.diag(sigma**2))
+    for i in range(4):
+        c, a = gaussian_shapley_form(model, i)
+        want = np.zeros((4, 4))
+        want[i, i] = 0.5 / sigma[i] ** 2
+        assert c == pytest.approx(0.5 * math.log(2 * math.pi * sigma[i] ** 2), rel=1e-14)
+        assert np.allclose(a, want, rtol=1e-14, atol=0.0)
+
+
+def test_form_of_a_correlated_pair_matches_the_inverse():
+    # phi_i = v({i}) / 2 + (v({i, j}) - v({j})) / 2, written out with inv and det
+    for rho, s1, s2 in ((0.8, 2.0, 2.0), (-0.5, 1.0, 3.0), (0.95, 0.3, 1.7)):
+        cov = np.array([[s1 * s1, rho * s1 * s2], [rho * s1 * s2, s2 * s2]])
+        model = GaussianModel([0.5, -1.0], cov)
+        for i, j in ((0, 1), (1, 0)):
+            c, a = gaussian_shapley_form(model, i)
+            ei, ej = np.eye(2)[i], np.eye(2)[j]
+            want_a = 0.25 * np.outer(ei, ei) / cov[i, i] + 0.25 * (
+                np.linalg.inv(cov) - np.outer(ej, ej) / cov[j, j]
+            )
+            log_2pi = math.log(2 * math.pi)
+            want_c = 0.25 * (log_2pi + math.log(cov[i, i])) + 0.5 * (
+                log_2pi + 0.5 * math.log(np.linalg.det(cov))
+                - 0.5 * (log_2pi + math.log(cov[j, j]))
+            )
+            assert c == pytest.approx(want_c, rel=1e-13)
+            assert np.allclose(a, want_a, rtol=1e-12, atol=1e-14 * np.abs(want_a).max())
+
+
+def test_blocked_form_matches_the_unblocked_form(monkeypatch):
+    import shaploc.shapley as shapley
+
+    rng = np.random.default_rng(23)
+    for n in (1, 3, 9):
+        a = rng.normal(size=(n, n))
+        model = GaussianModel(rng.normal(size=n), a @ a.T / n + 0.2 * np.eye(n))
+        whole = [gaussian_shapley_form(model, i) for i in range(n)]
+        monkeypatch.setattr(shapley, "_FORM_ELEMENTS", 1)
+        for i, (c, a_whole) in enumerate(whole):
+            c_blocked, a_blocked = gaussian_shapley_form(model, i)
+            assert abs(c_blocked - c) <= 1e-13 * max(1.0, abs(c))
+            assert np.all(np.abs(a_blocked - a_whole) <= 1e-13 * np.abs(a_whole).max())
+        monkeypatch.undo()
+
+
+def test_form_scratch_stays_within_its_budget(monkeypatch):
+    import tracemalloc
+
+    import shaploc.shapley as shapley
+
+    n, budget = 12, 1 << 14
+    rng = np.random.default_rng(24)
+    a = rng.normal(size=(n, n))
+    model = GaussianModel(np.zeros(n), a @ a.T / n + np.eye(n))
+    monkeypatch.setattr(shapley, "_FORM_ELEMENTS", budget)
+    tracemalloc.start()
+    try:
+        GaussianModel(model.mean, model.cov)._chain_factors  # the factor tables alone
+        _, factors_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        gaussian_shapley_form(model, 5)
+        _, form_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # unblocked, the residual coefficients alone take about 1 MB at n = 12
+    assert form_peak - factors_peak <= 8 * budget
+
+
+def test_form_rejects_bad_sensor():
+    model = GaussianModel(np.zeros(3), np.eye(3))
+    for i in (-1, 3):
+        with pytest.raises(ValueError):
+            gaussian_shapley_form(model, i)
