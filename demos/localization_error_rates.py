@@ -8,13 +8,13 @@ higher evaluation cost).
 """
 
 from shaploc import analytic_pe_gaussian
-from shaploc.suite import override_trials, preset_table1, preset_table2, run_suite
+from shaploc.suite import preset_table1, preset_table2, run_suite
 
 TRIALS = 200_000
 
 print(f"independent sensors, {TRIALS:,} trials per config")
 print(f"{'config':>12} {'Pe_v':>10} {'Pe_phi':>10} {'analytic':>10}")
-_, rows = run_suite(override_trials(preset_table1(seed=0), TRIALS))
+_, rows = run_suite(preset_table1(trials=TRIALS, seed=0))
 for row in rows:
     oracle = f"{row['analytic_Pe']:.6f}" if row["analytic_Pe"] is not None else ""
     print(f"{row['name']:>12} {row['Pe_v']:>10.6f} {row['Pe_phi']:>10.6f} {oracle:>10}")
@@ -23,7 +23,7 @@ print("-> identical error counts in every configuration\n")
 
 print(f"correlated sensors (attack A, AM=1), {TRIALS:,} trials per config")
 print(f"{'config':>12} {'Pe_v':>10} {'Pe_phi':>10} {'conditional bound':>18}")
-_, rows = run_suite(override_trials(preset_table2(seed=0), TRIALS))
+_, rows = run_suite(preset_table2(trials=TRIALS, seed=0))
 for row in rows:
     # error rate of a test on the conditional score alone: effective noise
     # shrinks from sigma to sigma * sqrt(1 - rho^2)

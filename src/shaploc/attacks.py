@@ -35,13 +35,13 @@ class AttackSpec:
         if not self.targets:
             raise ValueError("attack must target at least one sensor")
         if self.kind == "B":
-            if self.sigma_a is None or self.sigma_a < 0:
-                raise ValueError("type-B attack requires sigma_a >= 0")
+            if self.sigma_a is None or not 0 <= self.sigma_a < np.inf:
+                raise ValueError("type-B attack requires a finite sigma_a >= 0")
         elif self.sigma_a is not None:
             raise ValueError(f"sigma_a only applies to type-B attacks, not {self.kind}")
         if self.kind == "C":
-            if self.um is None or self.um < 0:
-                raise ValueError("type-C attack requires um >= 0")
+            if self.um is None or not 0 <= self.um < np.inf:
+                raise ValueError("type-C attack requires a finite um >= 0")
         elif self.um is not None:
             raise ValueError(f"um only applies to type-C attacks, not {self.kind}")
 
@@ -51,21 +51,21 @@ def apply_attack(
 ) -> np.ndarray:
     """Return a copy of ``x`` with the attack added on the target sensors.
 
-    ``rng`` is required for the random kinds B and C and is consumed once
-    per target sensor, in increasing sensor order.
+    The random kinds B and C need ``rng``: it draws one uniform per target
+    sensor, in increasing sensor order, and ``offsets_from_uniforms`` maps
+    them to offsets.  Kind A draws nothing.
     """
     y = np.array(x, dtype=float, copy=True)
     if not np.all(np.isfinite(y)):
         raise ValueError("observation contains non-finite entries")
-    if spec.kind != "A" and rng is None:
+    targets = list(spec.targets)
+    if spec.kind == "A":
+        u = np.zeros((1, len(targets)))
+    elif rng is None:
         raise ValueError(f"type-{spec.kind} attack needs a random stream")
-    for j in spec.targets:
-        if spec.kind == "A":
-            y[j] += spec.am
-        elif spec.kind == "B":
-            y[j] += rng.normal(spec.am, spec.sigma_a)
-        else:
-            y[j] += spec.am + rng.uniform(0.0, spec.um)
+    else:
+        u = rng.random((1, len(targets)))
+    y[targets] += offsets_from_uniforms(spec, u)[0]
     return y
 
 

@@ -12,7 +12,6 @@ from dataclasses import replace
 from .suite import (
     ConfigError,
     bench,
-    override_trials,
     parse_config,
     preset_table1,
     preset_table2,
@@ -90,8 +89,7 @@ def main(argv=None) -> int:
             print("preset: --trials must be positive", file=sys.stderr)
             return 1
         make = preset_table1 if args.which == "table1" else preset_table2
-        cfg = make(seed=args.seed)
-        cfg = override_trials(cfg, trials)
+        cfg = make(trials=trials, seed=args.seed)
 
     if args.format is not None:
         cfg = replace(cfg, fmt=args.format)

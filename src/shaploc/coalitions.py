@@ -11,8 +11,7 @@ class Coalition:
     """A subset of the sensor indices 0..n-1.
 
     ``bits`` is the membership mask (bit j set iff sensor j is a member) and
-    ``n`` is the universe size.  Instances are immutable; ``add`` returns a
-    new coalition.
+    ``n`` is the universe size.  Instances are immutable.
     """
 
     bits: int
@@ -28,14 +27,6 @@ class Coalition:
             raise ValueError(
                 f"bit mask {self.bits:#x} does not fit a universe of size {self.n}"
             )
-
-    @classmethod
-    def empty(cls, n: int) -> "Coalition":
-        return cls(0, n)
-
-    @classmethod
-    def full(cls, n: int) -> "Coalition":
-        return cls((1 << n) - 1, n)
 
     @classmethod
     def of(cls, indices: Iterable[int], n: int) -> "Coalition":
@@ -62,11 +53,3 @@ class Coalition:
 
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    def add(self, i: int) -> "Coalition":
-        if not 0 <= i < self.n:
-            raise ValueError(f"sensor index {i} outside universe of size {self.n}")
-        return Coalition(self.bits | (1 << i), self.n)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)

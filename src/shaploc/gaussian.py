@@ -137,21 +137,21 @@ class GaussianModel:
     # ------------------------------------------------------------------
     # marginal densities
 
-    def _score(self, s: Coalition, d):
-        """-ln f_S(x_S), given the deviations ``d`` = x - mean of all n sensors.
+    def _score(self, s: Coalition, x) -> float:
+        """-ln f_S(x_S) for one observation ``x`` of all n sensors.
 
-        ``d`` is one observation as a list of Python floats.  The chain rule
-        runs along the members of S in increasing order with exactly the
-        arithmetic of ``_chain_factors`` and ``coalition_values``, so a
-        coalition scores the same bits either way.
+        The chain rule runs along the members of S in increasing order with
+        exactly the arithmetic of ``_chain_factors`` and
+        ``coalition_values``, so a coalition scores the same bits either way.
         """
+        d = (check_observation(x, self._n) - self._mean).tolist()
         if s.n != self._n:
             raise DimensionMismatchError(
                 f"coalition universe {s.n} does not match model with {self._n} sensors"
             )
         if not s:
             raise ValueError("marginal density of the empty coalition is undefined")
-        idx = s.indices()
+        idx = tuple(s)
         # lower triangle of the members' covariance, conditioned on each
         # member in turn; the kernel never reads the upper one either
         cond = [[self._cov_rows[a][b] for b in idx[: i + 1]] for i, a in enumerate(idx)]
@@ -173,7 +173,7 @@ class GaussianModel:
 
     def marginal_log_density(self, s: Coalition, x) -> float:
         """ln f_S(x_S) for the Gaussian marginal over the sensors in S."""
-        return -float(self._score(s, (check_observation(x, self._n) - self._mean).tolist()))
+        return -self._score(s, x)
 
     # ------------------------------------------------------------------
     # every coalition at once, by the chain rule
@@ -256,7 +256,7 @@ class GaussianModel:
         """Anomaly score -ln f_S(x_S); zero on the empty coalition."""
         if not s:
             return 0.0
-        return -self.marginal_log_density(s, x)
+        return self._score(s, x)
 
 
 class GaussianValueFunction:

@@ -142,7 +142,7 @@ def _trial_observations(
         z = np.concatenate((z, z))
     xs = model.mean + (z @ model.chol.T)[:count]
 
-    targets = config.attack.targets.indices()
+    targets = tuple(config.attack.targets)
     offsets = offsets_from_uniforms(config.attack, u[:, 1 + n : k])
     for col, j in enumerate(targets):
         xs[attacked, j] += offsets[attacked, col]

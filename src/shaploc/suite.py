@@ -9,10 +9,12 @@ Carlo harness and reported as one row of a CSV or markdown table.
 from __future__ import annotations
 
 import configparser
+import csv
 import gc
+import io
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,45 +269,6 @@ def parse_config(path) -> SuiteConfig:
     )
 
 
-def canonical_config(cfg: SuiteConfig) -> str:
-    """Emit a config file that parses back to an equivalent suite."""
-    lines = ["[suite]", f"seed = {cfg.seed}", f"format = {cfg.fmt}"]
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
-    for name, spec in cfg.experiments:
-        lines += ["", f"[experiment.{name}]"]
-        lines += [
-            f"rho = {spec.rho!r}",
-            f"sigma1 = {spec.sigma1!r}",
-            f"sigma2 = {spec.sigma2!r}",
-            f"mu1 = {spec.mu1!r}",
-            f"mu2 = {spec.mu2!r}",
-            f"attack_type = {spec.attack_type}",
-            f"am = {spec.am!r}",
-        ]
-        if spec.sigma_a is not None:
-            lines.append(f"sigma_a = {spec.sigma_a!r}")
-        if spec.um is not None:
-            lines.append(f"um = {spec.um!r}")
-        lines += [
-            f"targets = {','.join(str(t) for t in spec.targets)}",
-            f"sensor_under_test = {spec.sensor_under_test}",
-            f"trials = {spec.trials}",
-            f"attack_prior = {spec.attack_prior!r}",
-        ]
-        if isinstance(spec.threshold_mode, GridSpec):
-            g = spec.threshold_mode
-            lines += [
-                "threshold_mode = grid",
-                f"grid_lo = {g.lo!r}",
-                f"grid_hi = {g.hi!r}",
-                f"grid_steps = {g.steps}",
-            ]
-        else:
-            lines.append("threshold_mode = exact-sort")
-    return "\n".join(lines) + "\n"
-
-
 # ----------------------------------------------------------------------
 # presets (the published parameter grids)
 
@@ -347,13 +310,6 @@ def preset_table2(trials: int = 1_000_000, seed: int = 0) -> SuiteConfig:
             ),
         ))
     return SuiteConfig(experiments=tuple(experiments), seed=seed)
-
-
-def override_trials(cfg: SuiteConfig, trials: int) -> SuiteConfig:
-    experiments = tuple(
-        (name, replace(spec, trials=trials)) for name, spec in cfg.experiments
-    )
-    return replace(cfg, experiments=experiments)
 
 
 # ----------------------------------------------------------------------
@@ -418,11 +374,17 @@ def render_rows(
         lines = header
         lines.append("| " + " | ".join(COLUMNS) + " |")
         lines.append("|" + "---|" * len(COLUMNS))
-        lines.extend("| " + " | ".join(row) + " |" for row in cells)
-    else:
-        lines = header + [",".join(COLUMNS)]
-        lines.extend(",".join(row) for row in cells)
-    return "\n".join(lines) + "\n"
+        lines.extend(
+            "| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |"
+            for row in cells
+        )
+        return "\n".join(lines) + "\n"
+    # names and FAILED messages may hold commas or quotes
+    body = io.StringIO()
+    writer = csv.writer(body, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    writer.writerows(cells)
+    return "\n".join(header) + "\n" + body.getvalue()
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,6 @@ from shaploc.cli import main
 from shaploc.suite import (
     bench,
     experiment_seed,
-    override_trials,
     preset_table1,
     preset_table2,
     run_suite,
@@ -47,7 +46,7 @@ def report(number: int, description: str, passed: bool) -> None:
 
 @pytest.fixture(scope="module")
 def table2_rows():
-    status, rows = run_suite(override_trials(preset_table2(seed=0), 10**6))
+    status, rows = run_suite(preset_table2(trials=10**6, seed=0))
     assert status == 0
     return rows
 
@@ -154,7 +153,7 @@ def test_criterion_3_weights_and_efficiency():
 
 def test_criterion_4_table1_pattern_equality():
     tic = time.perf_counter()
-    status, rows = run_suite(override_trials(preset_table1(seed=0), 10**5))
+    status, rows = run_suite(preset_table1(trials=10**5, seed=0))
     elapsed = time.perf_counter() - tic
     equal = all(row["Pe_v"] == row["Pe_phi"] for row in rows)
     report(

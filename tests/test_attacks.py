@@ -18,8 +18,13 @@ def test_spec_validation():
         AttackSpec(kind="A", am=1.0, targets=T1, sigma_a=0.5)
     with pytest.raises(ValueError, match="um"):
         AttackSpec(kind="B", am=1.0, targets=T1, sigma_a=0.5, um=1.0)
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="sigma_a"):
+            AttackSpec(kind="B", am=1.0, targets=T1, sigma_a=bad)
+        with pytest.raises(ValueError, match="um"):
+            AttackSpec(kind="C", am=1.0, targets=T1, um=bad)
     with pytest.raises(ValueError, match="target"):
-        AttackSpec(kind="A", am=1.0, targets=Coalition.empty(2))
+        AttackSpec(kind="A", am=1.0, targets=Coalition(0, 2))
 
 
 def test_constant_offset():
@@ -74,7 +79,7 @@ def test_rejects_non_finite_observation():
 
 
 def test_multi_target_attack():
-    spec = AttackSpec(kind="A", am=2.0, targets=Coalition.full(2))
+    spec = AttackSpec(kind="A", am=2.0, targets=Coalition.of([0, 1], 2))
     assert np.array_equal(apply_attack(spec, [1.0, 1.0]), [3.0, 3.0])
 
 

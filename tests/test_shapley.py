@@ -33,7 +33,7 @@ def brute_force_shapley(v, x, i, n):
                 / math.factorial(n)
             )
             s = Coalition.of(combo, n)
-            total += w * (v(s.add(i), x) - v(s, x))
+            total += w * (v(Coalition.of(combo + (i,), n), x) - v(s, x))
     return total
 
 

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from shaploc.harness import GridSpec
 from shaploc.suite import (
     COLUMNS,
     bench,
-    canonical_config,
     preset_table1,
     preset_table2,
     render_rows,
@@ -117,20 +118,63 @@ def test_duplicate_names_rejected():
 
 
 def test_round_trip_canonical_config(tmp_path):
-    original = preset_table1(trials=500, seed=3)
-    reparsed = parse_config(write(tmp_path, canonical_config(original)))
-    assert reparsed.seed == original.seed
-    assert reparsed.experiments == original.experiments
+    # every suite and experiment key written out, one per line, parses back
+    # to the suite it spells
+    text = """\
+[suite]
+seed = 11
+format = markdown
+out = results.md
+trials = 321
+
+[experiment.b]
+rho = -0.25
+sigma1 = 1.5
+sigma2 = 0.75
+mu1 = 0.5
+mu2 = -2
+attack_type = B
+am = 3
+sigma_a = 0.2
+targets = 1, 2
+sensor_under_test = 2
+trials = 123
+attack_prior = 0.25
+threshold_mode = exact-sort
+
+[experiment.c]
+attack_type = C
+am = 9.95
+um = 0.1
+"""
+    b = ExperimentSpec(
+        attack_type="B", am=3.0, rho=-0.25, sigma1=1.5, sigma2=0.75,
+        mu1=0.5, mu2=-2.0, sigma_a=0.2, targets=(1, 2), sensor_under_test=2,
+        trials=123, attack_prior=0.25,
+    )
+    c = ExperimentSpec(attack_type="C", am=9.95, um=0.1, trials=321)
+    assert parse_config(write(tmp_path, text)) == SuiteConfig(
+        experiments=(("b", b), ("c", c)), seed=11, fmt="markdown", out="results.md",
+    )
 
 
 def test_round_trip_with_grid_mode(tmp_path):
-    spec = ExperimentSpec(
+    text = """\
+[experiment.g]
+attack_type = C
+am = 9.95
+um = 0.1
+trials = 123
+threshold_mode = grid
+grid_lo = -1
+grid_hi = 25
+grid_steps = 999
+"""
+    g = ExperimentSpec(
         attack_type="C", am=9.95, um=0.1, trials=123,
         threshold_mode=GridSpec(-1.0, 25.0, 999),
     )
-    original = SuiteConfig(experiments=(("g", spec),), seed=11)
-    reparsed = parse_config(write(tmp_path, canonical_config(original)))
-    assert reparsed.experiments == original.experiments
+    assert parse_config(write(tmp_path, text)) == SuiteConfig(experiments=(("g", g),))
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +246,36 @@ def test_failed_experiment_marker_row():
     assert status == 2
     assert "FAILED" in rows[0]["name"]
     assert rows[1]["Pe_v"] is not None
+
+
+def test_names_with_commas_keep_the_columns(tmp_path):
+    text = """\
+[experiment.a,b]
+attack_type = A
+am = 1
+trials = 50
+
+[experiment.one "trial", failing]
+attack_type = A
+am = 1
+trials = 1
+"""
+    cfg = parse_config(write(tmp_path, text))
+    status, rows = run_suite(cfg)
+    assert status == 2
+    lines = [ln for ln in render_rows(cfg, rows).splitlines() if not ln.startswith("#")]
+    records = list(csv.reader(lines))
+    assert [len(r) for r in records] == [len(COLUMNS)] * 3
+    assert records[1][0] == "a,b"
+    assert records[2][0].startswith('one "trial", failing FAILED: ')
+
+
+def test_markdown_escapes_pipes():
+    cfg = SuiteConfig(experiments=(), fmt="markdown")
+    text = render_rows(cfg, [{"name": "a|b", "Pe_v": 0.5}])
+    row = text.splitlines()[-1]
+    assert row.startswith("| a\\|b | ")
+    assert row.replace("\\|", "").count("|") == len(COLUMNS) + 1
 
 
 def test_render_is_deterministic():
