@@ -40,7 +40,7 @@ def check_observation(values, n: int) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     if x.shape != (n,):
         raise DimensionMismatchError(f"observation has shape {x.shape}, expected ({n},)")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("observation contains non-finite entries")
     return x
 
@@ -50,7 +50,7 @@ def _check_rows(xs, n: int) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != n:
         raise DimensionMismatchError(f"observations have shape {xs.shape}, expected (m, {n})")
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise ValueError("observations contain non-finite entries")
     return xs
 
@@ -179,34 +179,35 @@ class GaussianModel:
     # every coalition at once, by the chain rule
 
     @cached_property
-    def _chain_factors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-sensor factors of the chain-rule kernel, about 3 * 2^n doubles.
+    def _chain_factors(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Factors of the chain-rule kernel, about 3 * 2^n doubles.
 
         Coalition ``2^k + t`` (highest sensor k, t a mask over sensors below
         k) scores v(t) - ln f(x_k | x_t) = v(t) + 0.5 ln(2 pi c) + 0.5 e^2 / c,
-        with c = Var(x_k | x_t) and e the residual of x_k given x_t.  Entry k
-        holds, for every t < 2^k, ``half_log_var`` = 0.5 ln(2 pi c) and
-        ``half_precision`` = 0.5 / c, shape (2^k, 1), and ``gamma``, shape
-        (n-k-1, 2^k, 1): adding k to t updates the residual of each higher
-        sensor j by e_{j|t+k} = e_{j|t} - gamma[j-k-1, t] e_{k|t}.
+        with c = Var(x_k | x_t) and e the residual of x_k given x_t.  Row
+        ``2^k + t`` of ``half_log_var`` holds 0.5 ln(2 pi c) and that of
+        ``half_precision`` 0.5 / c, both of shape (2^n, 1) with a zero row 0.
+        ``gammas[k]``, shape (n-k-1, 2^k, 1), updates the residuals: adding
+        k to t gives each higher sensor j the residual
+        e_{j|t+k} = e_{j|t} - gammas[k][j-k-1, t] e_{k|t}.
 
         All come from one Schur-complement recursion: ``cond[t]`` is the
         conditional covariance of sensors k..n-1 given x_t.
         """
         n = self._n
-        factors = []
+        half_log_var = np.zeros((1 << n, 1))
+        half_precision = np.zeros((1 << n, 1))
+        gammas = []
         cond = self._cov[None].copy()
         for k in range(n):
             pivot = cond[:, :1, 0]
             gamma = cond[:, 1:, 0] / pivot
-            factors.append((
-                0.5 * (_LOG_2PI + np.log(pivot)),
-                0.5 / pivot,
-                np.ascontiguousarray(gamma.T)[:, :, None],
-            ))
+            half_log_var[1 << k : 2 << k] = 0.5 * (_LOG_2PI + np.log(pivot))
+            half_precision[1 << k : 2 << k] = 0.5 / pivot
+            gammas.append(np.ascontiguousarray(gamma.T)[:, :, None])
             rest = cond[:, 1:, 1:]
             cond = np.concatenate((rest, rest - gamma[:, :, None] * cond[:, None, 1:, 0]))
-        return factors
+        return half_log_var, half_precision, gammas
 
     def coalition_values(self, xs) -> np.ndarray:
         """Anomaly scores of every coalition for every observation.
@@ -219,34 +220,38 @@ class GaussianModel:
         xs = _check_rows(xs, self._n)
         n = self._n
         m = xs.shape[0]
-        factors = self._chain_factors
+        half_log_var, half_precision, gammas = self._chain_factors
         values = np.empty((1 << n, m))
-        values[0] = 0.0
         d = (xs - self._mean).T
         # a residual block takes at most 2^(n-1) * width doubles; two
         # buffers take turns across steps and tiles
         width = max(1, min(m, _TILE_ELEMENTS >> n))
         buffers = np.empty((2, width << n >> 1))
         for lo in range(0, m, width):
-            cols = slice(lo, lo + width)
+            tile = values[:, lo : lo + width]
+            tile[0] = 0.0
             # grow the residual block one sensor at a time: before step k,
-            # res[j - k, t] is the residual of sensor j >= k given mask t < 2^k
-            res = d[:, None, cols].copy()
+            # res[j - k, t] is the residual of sensor j >= k given mask t < 2^k;
+            # sensor k's residuals are parked in the rows of its coalitions
+            res = d[:, None, lo : lo + width].copy()
+            for k in range(n - 1):
+                half = 1 << k
+                own, rest = res[0], res[1:]
+                tile[half : 2 * half] = own
+                res = buffers[k % 2][: 2 * rest.size].reshape(n - k - 1, 2 * half, -1)
+                res[:, :half] = rest
+                new = res[:, half:]
+                np.multiply(gammas[k], own, out=new)
+                np.subtract(rest, new, out=new)
+            tile[1 << (n - 1) :] = res[0]
+            # then turn them into score terms, each added to the score of
+            # its coalition without the highest sensor
+            terms = tile[1:]
+            terms *= terms
+            terms *= half_precision[1:]
+            terms += half_log_var[1:]
             for k in range(n):
-                half_log_var, half_precision, gamma = factors[k]
-                shape = (n - k - 1, 2 << k, res.shape[2])
-                grown = buffers[k % 2, : math.prod(shape)].reshape(shape)
-                grown[:, : 1 << k] = res[1:]
-                np.multiply(gamma, res[0], out=grown[:, 1 << k :])
-                np.subtract(res[1:], grown[:, 1 << k :], out=grown[:, 1 << k :])
-                # sensor k's residuals are spent: turn them into its score
-                # terms while they are in cache
-                term = res[0]
-                term *= term
-                term *= half_precision
-                term += half_log_var
-                np.add(values[: 1 << k, cols], term, out=values[1 << k : 2 << k, cols])
-                res = grown
+                tile[1 << k : 2 << k] += tile[: 1 << k]
         return values
 
     # ------------------------------------------------------------------

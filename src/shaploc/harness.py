@@ -24,6 +24,7 @@ chunk of one trial included, gives each trial the same bits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,6 +51,7 @@ class GridSpec:
     steps: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "steps", operator.index(self.steps))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("grid bounds must be finite")
         if not self.lo < self.hi:
@@ -69,6 +71,9 @@ class ExperimentConfig:
     threshold_mode: GridSpec | str = "exact"  # "exact" or a GridSpec
 
     def __post_init__(self) -> None:
+        # a float count, index or seed would fail deep inside numpy or be truncated
+        for name in ("sensor_under_test", "trials", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not 0.0 < self.attack_prior < 1.0:

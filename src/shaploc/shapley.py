@@ -69,12 +69,8 @@ def shapley_weight(s_card: int, n: int) -> float:
         raise ValueError(f"universe size must be positive, got {n}")
     if not 0 <= s_card <= n - 1:
         raise ValueError(f"coalition cardinality {s_card} out of range for n={n}")
-    if n <= 20:
-        return math.factorial(s_card) * math.factorial(n - s_card - 1) / math.factorial(n)
-    # log-gamma keeps relative error ~1e-15 well within a 1e-12 budget
-    return math.exp(
-        math.lgamma(s_card + 1) + math.lgamma(n - s_card) - math.lgamma(n + 1)
-    )
+    # int true division rounds correctly, so each weight is the nearest double
+    return math.factorial(s_card) * math.factorial(n - s_card - 1) / math.factorial(n)
 
 
 def _check_universe(n: int) -> None:
@@ -112,7 +108,7 @@ def _pair_weights(n: int) -> np.ndarray:
 _FORM_ELEMENTS = 1 << 24
 
 
-def _residual_blocks(factors, n: int, block: int):
+def _residual_blocks(gammas, n: int, block: int):
     """Yield (lo, b): b[s] is the last sensor's residual given mask lo + s, as a vector.
 
     This is the residual recursion of ``GaussianModel.coalition_values``
@@ -127,7 +123,7 @@ def _residual_blocks(factors, n: int, block: int):
             yield lo, res[0]
             return
         width = res.shape[1]
-        gamma = factors[k][2][:, lo : lo + width]
+        gamma = gammas[k][:, lo : lo + width]
         if 2 * width <= block:  # then lo = 0 and width = 2^k: add sensor k to every mask
             yield from grow(np.concatenate((res[1:], res[1:] - gamma * res[0]), axis=1), k + 1, lo)
         else:
@@ -151,84 +147,43 @@ def gaussian_shapley_form(model: GaussianModel, i: int) -> tuple[float, np.ndarr
     if not 0 <= i < n:
         raise ValueError(f"sensor index {i} out of range for n={n}")
     order = [j for j in range(n) if j != i] + [i]
-    factors = GaussianModel(model.mean[order], model.cov[np.ix_(order, order)])._chain_factors
-    half_log_var, half_precision, _ = factors[n - 1]
+    half_log_var, half_precision, gammas = GaussianModel(
+        model.mean[order], model.cov[np.ix_(order, order)]
+    )._chain_factors
+    last = slice(1 << (n - 1), None)  # the coalitions whose highest sensor is i
     weights = _pair_weights(n)
-    scaled = weights * half_precision[:, 0]
+    scaled = weights * half_precision[last, 0]
     # the live residual blocks and one weighted copy take at most
     # block * n * (n + 3) * (n + 4) / 2 doubles
     block = 1 << (n - 1)
     while block > 1 and block * n * (n + 3) * (n + 4) // 2 > _FORM_ELEMENTS:
         block //= 2
     a = np.zeros((n, n))
-    for lo, b in _residual_blocks(factors, n, block):
+    for lo, b in _residual_blocks(gammas, n, block):
         a += (b.T * scaled[lo : lo + len(b)]) @ b
     form = np.empty((n, n))
     form[np.ix_(order, order)] = a
     form.setflags(write=False)
-    return float(weights @ half_log_var[:, 0]), form
+    return float(weights @ half_log_var[last, 0]), form
 
 
-# a scratch block of the transform holds at most this many doubles, so it
-# stays in cache; the sums do not depend on it
-_BLOCK_ELEMENTS = 1 << 18
-
-# the sums run over the low bits of the coalition index in this many lanes
-_LANES = 64
-
-
-def _tree_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 of a (2^p, ...) array by in-place halving; overwrites ``a``."""
-    rows = a.shape[0]
-    while rows > 1:
-        rows //= 2
-        a[:rows] += a[rows : 2 * rows]
-    return a[0]
-
-
-def _transform(table: np.ndarray, sensors, weights: np.ndarray) -> np.ndarray:
+def _transform(column: np.ndarray, sensors, weights: np.ndarray) -> np.ndarray:
     """Weighted sums of v(S + i) - v(S) over coalitions S excluding i.
 
-    ``table`` has shape (2^n, m); ``weights`` has one entry per excluded
-    coalition in (n-1)-bit counting order.  Returns shape (len(sensors), m).
+    ``column`` holds the 2^n coalition values of one observation;
+    ``weights`` has one entry per excluded coalition in (n-1)-bit counting
+    order.  Returns one sum per sensor in ``sensors``.
 
-    The order of the additions is fixed by n alone, so every column's sum is
-    the same bits whatever m is: the coalition index is split into a lane
-    (its low bits) and a high part; each lane is summed over the high part
-    in increasing order (numpy reduces an axis that is not the innermost one
-    element by element), then the lanes by a pairwise tree.  A scratch block
-    holds every ``blocks``-th lane, and sensors that fit share a block.
+    The weighted differences fill one contiguous buffer, which numpy sums
+    pairwise in an order fixed by its length 2^(n-1) alone.
     """
-    size, m = table.shape
-    rows = size // 2
-    lanes = min(_LANES, rows)
-    blocks = 1
-    while blocks < lanes // 2 and rows // blocks * m > _BLOCK_ELEMENTS:
-        blocks *= 2
-    per_block = rows // blocks
-    group = max(1, _BLOCK_ELEMENTS // (per_block * m))
-    scratch = np.empty((min(group, len(sensors)), per_block, m))
-    sums = np.empty((lanes, min(group, len(sensors)), m))
-    phi = np.empty((len(sensors), m))
-    for first in range(0, len(sensors), group):
-        batch = sensors[first : first + group]
-        block, lane_sums = scratch[: len(batch)], sums[:, : len(batch)]
-        for t in range(blocks):
-            for r, i in enumerate(batch):
-                per = 1 << i
-                pairs = table.reshape(-1, 2, per, m)  # [higher bits, bit i, lower bits]
-                if blocks <= per:
-                    high, low = slice(None), slice(t, None, blocks)
-                else:
-                    high, low = slice(t // per, None, blocks // per), t % per
-                hi, lo = pairs[high, 1, low], pairs[high, 0, low]
-                # short contiguous runs are faster to iterate across
-                order = "F" if per * m < 8 else "K"
-                np.subtract(hi, lo, out=block[r].reshape(hi.shape), order=order)
-            block *= weights[t::blocks, None]
-            by_lane = block.reshape(len(batch), -1, lanes // blocks, m)
-            np.add.reduce(by_lane, axis=1, out=lane_sums[t::blocks].transpose(1, 0, 2))
-        phi[first : first + len(batch)] = _tree_sum(lane_sums)
+    diffs = np.empty(column.size // 2)
+    phi = np.empty(len(sensors))
+    for r, i in enumerate(sensors):
+        pairs = column.reshape(-1, 2, 1 << i)  # [higher bits, bit i, lower bits]
+        np.subtract(pairs[:, 1], pairs[:, 0], out=diffs.reshape(-1, 1 << i))
+        diffs *= weights
+        phi[r] = np.add.reduce(diffs)
     return phi
 
 
@@ -248,7 +203,13 @@ def shapley_from_values(values, i: int | None = None) -> np.ndarray:
     if i is not None and not 0 <= i < n:
         raise ValueError(f"sensor index {i} out of range for n={n}")
     sensors = list(range(n)) if i is None else [i]
-    phi = _transform(values.reshape(size, -1), sensors, _pair_weights(n))
+    # one column at a time, so a column's phi does not depend on the others;
+    # a contiguous copy keeps each pass over a wide table's column in cache
+    table = values.reshape(size, -1)
+    weights = _pair_weights(n)
+    phi = np.empty((len(sensors), table.shape[1]))
+    for j in range(table.shape[1]):
+        phi[:, j] = _transform(np.ascontiguousarray(table[:, j]), sensors, weights)
     shape = values.shape[1:] if i is not None else (n,) + values.shape[1:]
     return phi.reshape(shape)
 
@@ -286,8 +247,7 @@ def truncated_shapley(
     mass = weights.sum()
     if mass == 0.0:
         raise EmptyKeptSetError("truncation predicate kept no coalition")
-    table = _values(v, x)[:, None]
-    return float(_transform(table, (i,), weights)[0, 0] / mass)
+    return float(_transform(_values(v, x), (i,), weights)[0] / mass)
 
 
 def sampled_shapley(

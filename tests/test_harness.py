@@ -226,6 +226,12 @@ def test_config_validation():
     for seed in (-1, 1 << 128):
         with pytest.raises(ValueError, match="seed"):
             two_sensor_config(seed=seed)
+    # a float seed of 1.5 ran seed 1's stream; the other fields failed late
+    for key, value in (("seed", 1.5), ("seed", 1.9), ("trials", 2000.0), ("sensor_under_test", 0.5)):
+        with pytest.raises(TypeError):
+            two_sensor_config(**{key: value})
+    config = two_sensor_config(trials=np.int64(8), seed=np.uint64(3), sensor_under_test=np.int8(1))
+    assert (config.trials, config.seed, config.sensor_under_test) == (8, 3, 1)
 
 
 def test_largest_philox_key_is_accepted():
@@ -237,6 +243,9 @@ def test_grid_bounds_must_be_finite():
     for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
         with pytest.raises(ValueError):
             GridSpec(lo, hi, 10)
+    with pytest.raises(TypeError):
+        GridSpec(0, 5, 50.5)
+    assert GridSpec(0, 5, np.int64(50)).steps == 50
 
 
 def test_high_prior_labels_every_trial_attacked():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,12 +65,11 @@ def test_weight_small_cases():
 
 
 def test_weight_against_comb_identity():
-    # w(s, n) = 1 / (n * C(n-1, s)) is an equivalent closed form
-    for n in range(1, 24):
+    # w(s, n) = 1 / (n * C(n-1, s)) is an equivalent closed form; both sides
+    # round the same rational once, so they agree bit for bit
+    for n in range(1, 25):
         for s in range(n):
-            assert shapley_weight(s, n) == pytest.approx(
-                1.0 / (n * math.comb(n - 1, s)), rel=1e-12
-            )
+            assert shapley_weight(s, n) == 1 / (n * math.comb(n - 1, s))
 
 
 def test_weight_normalization_by_enumeration():
@@ -303,18 +303,35 @@ def test_transform_matches_brute_force_on_random_tables():
         assert shapley_from_values(table[:, 0]).shape == (n,)
 
 
-def test_transform_sums_do_not_depend_on_batch_or_block(monkeypatch):
-    import shaploc.shapley as shapley
-
+def test_transform_sums_do_not_depend_on_batch_or_block():
     rng = np.random.default_rng(21)
-    table = rng.normal(size=(1 << 9, 40))
-    whole = shapley_from_values(table)
-    for block in (1, 7, 1 << 6, 1 << 30):
-        monkeypatch.setattr(shapley, "_BLOCK_ELEMENTS", block)
-        assert np.array_equal(shapley_from_values(table), whole)
-        for i in (0, 4, 8):
+    for n in (1, 2, 9):
+        table = rng.normal(size=(1 << n, 40))
+        whole = shapley_from_values(table)
+        assert np.array_equal(shapley_from_values(table[:, ::3]), whole[:, ::3])
+        for i in sorted({0, n // 2, n - 1}):
             assert np.array_equal(shapley_from_values(table[:, 5:6], i), whole[i, 5:6])
             assert np.array_equal(shapley_from_values(table[:, 3:30], i), whole[i, 3:30])
+            assert np.array_equal(shapley_from_values(table[:, 7], i), whole[i, 7])
+
+
+def test_transform_matches_an_exact_rational_sum():
+    # a large common level cancels in every difference, so only the rounding
+    # of the weights and of the sum separates the transform from the exact
+    # value; the bound scales with the differences, not with the level
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 5, 10):
+        table = 1e6 + rng.normal(size=1 << n)
+        exact = [Fraction(0)] * n
+        for i in range(n):
+            for mask in range(1 << n):
+                if not mask >> i & 1:
+                    s = mask.bit_count()
+                    w = Fraction(math.factorial(s) * math.factorial(n - s - 1), math.factorial(n))
+                    exact[i] += w * (Fraction(table[mask | 1 << i]) - Fraction(table[mask]))
+        phi = shapley_from_values(table)
+        err = max(abs(Fraction(p) - e) for p, e in zip(phi, exact))
+        assert err <= 1e-14 * np.ptp(table)
 
 
 def test_transform_rejects_bad_tables():
