@@ -6,12 +6,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coalition:
     """A subset of the sensor indices 0..n-1.
 
     ``bits`` is the membership mask (bit j set iff sensor j is a member) and
-    ``n`` is the universe size.  Instances are immutable.
+    ``n`` is the universe size.  Instances are immutable.  Every public
+    constructor validates its arguments.
     """
 
     bits: int
@@ -38,6 +39,18 @@ class Coalition:
             bits |= 1 << i
         return cls(bits, n)
 
+    @classmethod
+    def _trusted(cls, bits: int, n: int) -> "Coalition":
+        """A coalition of a mask the engine made, so known to fit: no checks.
+
+        The Shapley engine builds one per coalition it hands to a value
+        function or predicate; validation would triple the cost of each.
+        """
+        s = object.__new__(cls)
+        _set_bits(s, bits)
+        _set_n(s, n)
+        return s
+
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.n and bool((self.bits >> i) & 1)
 
@@ -53,3 +66,9 @@ class Coalition:
 
     def __bool__(self) -> bool:
         return self.bits != 0
+
+
+# the slots' own setters skip the frozen class's __setattr__, and take about
+# half the time of object.__setattr__
+_set_bits = Coalition.bits.__set__
+_set_n = Coalition.n.__set__

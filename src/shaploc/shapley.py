@@ -73,6 +73,14 @@ def shapley_weight(s_card: int, n: int) -> float:
     return math.factorial(s_card) * math.factorial(n - s_card - 1) / math.factorial(n)
 
 
+# sampled_shapley reads a Gaussian score from the 2^n table when 2^n is at
+# most this many times the permutations.  At n = 14..20 a table coalition
+# costs 7-17 ns once the model's factors are built, and a permutation's memo
+# misses 71-257 us, so the table costs less up to 2^n = 5600 to 27000 times
+# the permutations (BENCH_explain_table.json); this stays below all of them.
+_TABLE_PER_PERMUTATION = 1 << 12
+
+
 def _check_universe(n: int) -> None:
     if n > MAX_EXACT_SENSORS:
         raise UniverseTooLargeError(
@@ -89,7 +97,8 @@ def _values(v: ValueFunction, x) -> np.ndarray:
     n = v.n
     if isinstance(v, GaussianValueFunction):
         return v.model.coalition_values(check_observation(x, n)[None, :])[:, 0]
-    return np.array([v(Coalition(mask, n), x) for mask in range(1 << n)], dtype=float)
+    trusted = Coalition._trusted
+    return np.array([v(trusted(mask, n), x) for mask in range(1 << n)], dtype=float)
 
 
 @lru_cache(maxsize=4)
@@ -239,8 +248,9 @@ def truncated_shapley(
     if not 0 <= i < n:
         raise ValueError(f"sensor index {i} out of range for n={n}")
     low = (1 << i) - 1
+    trusted = Coalition._trusted
     kept = np.array([
-        bool(keep(Coalition(((sub & ~low) << 1) | (sub & low), n)))
+        bool(keep(trusted(((sub & ~low) << 1) | (sub & low), n)))
         for sub in range(1 << (n - 1))
     ])
     weights = np.where(kept, _pair_weights(n), 0.0)
@@ -256,29 +266,35 @@ def sampled_shapley(
     """Unbiased permutation-sampling estimate of the Shapley value of i.
 
     Averages the marginal contribution of i over uniformly random sensor
-    orderings; coalition values are memoized within the call.
+    orderings.  A Gaussian value function's scores are read from its 2^n
+    coalition table while that costs less than scoring the permutations'
+    coalitions one by one (the two agree bit for bit); otherwise coalition
+    values are memoized within the call.
     """
     n = v.n
     if not 0 <= i < n:
         raise ValueError(f"sensor index {i} out of range for n={n}")
     if permutations < 1:
         raise ValueError("need at least one permutation")
-    cache: dict[int, float] = {0: 0.0}
+    if isinstance(v, GaussianValueFunction) and 1 << n <= _TABLE_PER_PERMUTATION * permutations:
+        val = _values(v, x).item
+    else:
+        cache: dict[int, float] = {0: 0.0}
+        trusted = Coalition._trusted
 
-    def val(mask: int) -> float:
-        got = cache.get(mask)
-        if got is None:
-            got = cache[mask] = v(Coalition(mask, n), x)
-        return got
+        def val(mask: int) -> float:
+            got = cache.get(mask)
+            if got is None:
+                got = cache[mask] = v(trusted(mask, n), x)
+            return got
 
     bit = 1 << i
     total = 0.0
     for _ in range(permutations):
-        perm = rng.permutation(n)
         pred = 0
-        for j in perm:
+        for j in rng.permutation(n).tolist():
             if j == i:
                 break
-            pred |= 1 << int(j)
+            pred |= 1 << j
         total += val(pred | bit) - val(pred)
     return total / permutations

@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from shaploc import Coalition
@@ -29,3 +33,23 @@ def test_rejects_out_of_universe():
 def test_membership_outside_universe_is_false():
     assert 7 not in Coalition(0b111, 3)
     assert -1 not in Coalition(0b111, 3)
+
+
+def test_trusted_coalition_equals_a_validated_one():
+    for n, bits in ((0, 0), (1, 1), (5, 0b10110), (24, (1 << 24) - 1)):
+        trusted, checked = Coalition._trusted(bits, n), Coalition(bits, n)
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert list(trusted) == list(checked) and len(trusted) == len(checked)
+
+
+def test_pickle_and_deepcopy_round_trip():
+    for s in (Coalition.of([0, 3], 5), Coalition._trusted(0b1001, 5)):
+        assert pickle.loads(pickle.dumps(s)) == s
+        assert copy.deepcopy(s) == s
+
+
+def test_frozen_and_slotted():
+    s = Coalition(0b11, 3)
+    with pytest.raises(FrozenInstanceError):
+        s.bits = 1
+    assert not hasattr(s, "__dict__")

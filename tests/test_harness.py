@@ -12,6 +12,7 @@ from shaploc import (
     GaussianModel,
     GridSpec,
     analytic_pe_gaussian,
+    preset_table2,
     binomial_ci,
     run_experiment,
     shapley_from_values,
@@ -23,6 +24,7 @@ from shaploc.harness import (
     _simulate_chunk,
     _trial_observations,
 )
+from shaploc.suite import experiment_seed
 
 
 def arrays_from(clean, attacked):
@@ -379,6 +381,26 @@ def test_chunk_scores_match_the_coalition_table():
             # the quadratic form sums the same terms in another order
             scale = np.max(np.abs(table), axis=0)
             assert np.all(np.abs(phi - shapley_from_values(table, sensor)) <= 1e-12 * scale)
+
+
+def test_linear_statistic_reaches_the_bayes_error_on_table2():
+    # An oracle for trial generation and threshold optimisation on correlated
+    # models that shares nothing with the Shapley engine: under a type-A
+    # shift s at prior 1/2 the likelihood-ratio test thresholds d^T inv(S) s,
+    # and its error is Phi(-delta / 2) with delta^2 = s^T inv(S) s.
+    trials = 200_000
+    suite = preset_table2(trials=trials)
+    for index, (name, spec) in enumerate(suite.experiments):
+        config = spec.to_config(experiment_seed(suite.seed, index))
+        model = config.model
+        xs, attacked = _trial_observations(config, 0, trials)
+        shift = np.zeros(model.n)
+        shift[list(config.attack.targets)] = config.attack.am
+        w = np.linalg.solve(model.cov, shift)
+        _, pe = _optimize_exact((xs - model.mean) @ w, attacked)
+        exact = float(ndtr(-0.5 * math.sqrt(shift @ w)))
+        se = math.sqrt(exact * (1.0 - exact) / trials)
+        assert abs(pe - exact) <= 5 * se, (name, pe, exact)
 
 
 def test_chunk_size_must_be_positive():

@@ -14,16 +14,17 @@ from shaploc import (  # noqa: E402
     GaussianModel,
     GaussianValueFunction,
     all_shapley,
+    sampled_shapley,
     shapley_from_values,
     simulate_scores,
 )
-from shaploc.shapley import gaussian_shapley_form  # noqa: E402
+from shaploc.shapley import _TABLE_PER_PERMUTATION, gaussian_shapley_form  # noqa: E402
 
 
 @st.composite
-def correlated_models(draw):
-    """A model with n = 1..12, nonzero means and every |rho| <= 0.95."""
-    n = draw(st.integers(1, 12))
+def correlated_models(draw, max_n=12):
+    """A model with n = 1..max_n, nonzero means and every |rho| <= 0.95."""
+    n = draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = rng.normal(size=(n, n))
     corr = g @ g.T
@@ -98,6 +99,35 @@ def test_independence_identity(drawn, data):
     phi = all_shapley(vf, x).phi
     scale = np.max(np.abs(vf.model.coalition_values(x[None, :])))
     assert abs(phi[i] - vf(Coalition.of([i], n), x)) <= 1e-12 * n * scale
+
+
+class PlainValueFunction:
+    """The Gaussian score behind a plain callable, scored one coalition at a time."""
+
+    def __init__(self, vf):
+        self.vf = vf
+        self.n = vf.n
+
+    def __call__(self, s, x):
+        return self.vf(s, x)
+
+
+@given(correlated_models(max_n=14), st.data())
+def test_sampled_table_path_equals_memo_path(drawn, data):
+    model, rng = drawn
+    n = model.n
+    vf = GaussianValueFunction(model)
+    x = _observation(model, rng)
+    least = -(-(1 << n) // _TABLE_PER_PERMUTATION)  # the table path from here on
+    permutations = data.draw(st.integers(least, least + 30))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    for i in range(n):
+        table_rng = np.random.default_rng([seed, i])
+        memo_rng = np.random.default_rng([seed, i])
+        got = sampled_shapley(vf, x, i, permutations, table_rng)
+        want = sampled_shapley(PlainValueFunction(vf), x, i, permutations, memo_rng)
+        assert got == want
+        assert table_rng.bit_generator.state == memo_rng.bit_generator.state
 
 
 @given(correlated_models(), st.data())

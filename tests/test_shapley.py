@@ -8,6 +8,7 @@ import pytest
 from shaploc import (
     AdditiveValueFunction,
     Coalition,
+    DimensionMismatchError,
     EmptyKeptSetError,
     GaussianModel,
     GaussianValueFunction,
@@ -281,6 +282,48 @@ def test_sampled_within_four_standard_errors_of_exact():
     se = np.std(probes) / math.sqrt(10**5)
     got = sampled_shapley(vf, x, i, 10**5, rng)
     assert abs(got - exact) < 4 * max(se, 1e-12)
+
+
+def _crossover_model():
+    """An n = 13 model and the permutation counts either side of the crossover."""
+    import shaploc.shapley as shapley
+
+    n = 13
+    rng = np.random.default_rng(25)
+    a = rng.normal(size=(n, n))
+    model = GaussianModel(rng.normal(size=n), a @ a.T / n + np.eye(n))
+    table = -(-(1 << n) // shapley._TABLE_PER_PERMUTATION)  # least count on the table
+    assert table >= 2
+    return model, model.sample(rng), table - 1, table
+
+
+def test_sampled_reads_the_table_only_below_the_crossover(monkeypatch):
+    model, x, memo, table = _crossover_model()
+    vf = GaussianValueFunction(model)
+
+    def refuse(*args):
+        raise AssertionError("wrong path")
+
+    monkeypatch.setattr(GaussianModel, "coalition_values", refuse)
+    assert math.isfinite(sampled_shapley(vf, x, 4, memo, np.random.default_rng(1)))
+    monkeypatch.undo()
+    monkeypatch.setattr(GaussianModel, "value", refuse)
+    assert math.isfinite(sampled_shapley(vf, x, 4, table, np.random.default_rng(1)))
+
+
+def test_sampled_validates_the_observation_on_both_paths():
+    model, x, memo, table = _crossover_model()
+    vf = GaussianValueFunction(model)
+    bad_length = (x[:-1], np.append(x, 0.0))
+    for bad in bad_length + (np.where(np.arange(x.size) == 3, np.nan, x),
+                             np.where(np.arange(x.size) == 0, -np.inf, x)):
+        raised = set()
+        for permutations in (memo, table):
+            with pytest.raises(ValueError) as info:
+                sampled_shapley(vf, bad, 0, permutations, np.random.default_rng(2))
+            raised.add(type(info.value))
+        assert len(raised) == 1
+        assert (raised.pop() is DimensionMismatchError) == any(bad is b for b in bad_length)
 
 
 # ----------------------------------------------------------------------
