@@ -77,19 +77,16 @@ def main(argv=None) -> int:
         _emit(render_bench(rows), args.out)
         return 0
 
-    if args.command == "run":
-        try:
+    try:
+        if args.command == "run":
             cfg = parse_config(args.config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-    else:
-        trials = args.trials if args.trials is not None else 1_000_000
-        if trials < 1:
-            print("preset: --trials must be positive", file=sys.stderr)
-            return 1
-        make = preset_table1 if args.which == "table1" else preset_table2
-        cfg = make(trials=trials, seed=args.seed)
+        else:
+            make = preset_table1 if args.which == "table1" else preset_table2
+            trials = args.trials if args.trials is not None else 1_000_000
+            cfg = make(trials=trials, seed=args.seed)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
 
     if args.format is not None:
         cfg = replace(cfg, fmt=args.format)

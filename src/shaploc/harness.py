@@ -140,18 +140,20 @@ def _trial_observations(
     u = _trial_uniforms(config.seed, stride, start, count)
 
     attacked = u[:, 0] < config.attack_prior
-    z = ndtri(np.clip(u[:, 1 : 1 + n], 1e-300, 1.0))
+    offsets = offsets_from_uniforms(config.attack, u[:, 1 + n : k])
+    z = np.clip(u[:, 1 : 1 + n], 1e-300, 1.0)
+    del u  # the chunk's largest array: free it before the product's
+    ndtri(z, out=z)
     # a one-row product would take BLAS's matrix-vector path, which rounds
     # differently from the matrix-matrix path of larger chunks: run two rows
     if count == 1:
         z = np.concatenate((z, z))
-    xs = model.mean + (z @ model.chol.T)[:count]
-
-    targets = tuple(config.attack.targets)
-    offsets = offsets_from_uniforms(config.attack, u[:, 1 + n : k])
-    for col, j in enumerate(targets):
-        xs[attacked, j] += offsets[attacked, col]
-    return xs, attacked
+    # sensor-major, so the mean, the attack and the scoring run over contiguous rows
+    xs = np.ascontiguousarray((z @ model.chol.T)[:count].T)
+    xs += model.mean[:, None]
+    for col, j in enumerate(config.attack.targets):
+        np.add(xs[j], offsets[:, col], out=xs[j], where=attacked)
+    return xs.T, attacked
 
 
 @lru_cache(maxsize=8)
@@ -180,7 +182,7 @@ def _simulate_chunk(
     xs, attacked = _trial_observations(config, start, count)
     i = config.sensor_under_test
     c, u, half_precision, half_log_var = _scoring_form(config.model, i)
-    d = np.ascontiguousarray((xs - config.model.mean).T)
+    d = xs.T - config.model.mean[:, None]
     phi = np.zeros(count)
     row = np.empty(count)
     term = np.empty(count)
@@ -201,66 +203,65 @@ def simulate_scores(
     """All trial scores and labels, computed in deterministic chunks."""
     if chunk < 1:
         raise ValueError("chunk must hold at least one trial")
-    phis, vs, labels = [], [], []
-    for start in range(0, config.trials, chunk):
-        count = min(chunk, config.trials - start)
-        p, v, a = _simulate_chunk(config, start, count)
-        phis.append(p)
-        vs.append(v)
-        labels.append(a)
-    return np.concatenate(phis), np.concatenate(vs), np.concatenate(labels)
+    m = config.trials
+    phi, v, labels = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+    for start in range(0, m, chunk):
+        stop = min(start + chunk, m)
+        phi[start:stop], v[start:stop], labels[start:stop] = _simulate_chunk(
+            config, start, stop - start
+        )
+    return phi, v, labels
 
 
 # ----------------------------------------------------------------------
 # threshold optimization
 
 
-def _error_curve(scores: np.ndarray, labels: np.ndarray):
-    """(sorted scores, per-cut error counts).
-
-    Cut position c means "the c smallest scores are declared clean"; the
-    decision rule is score > threshold.  errors[c] counts misses among the
-    first c plus false alarms among the rest.
-    """
-    m = scores.size
-    if m == 0:
-        raise DegenerateLabelsError("no trials to optimize over")
-    n_att = int(np.count_nonzero(labels))
-    if n_att == 0 or n_att == m:
+def _split_sorted(scores: np.ndarray, labels: np.ndarray):
+    """(sorted attacked scores, sorted clean scores); both classes must occur."""
+    att = scores.take(np.flatnonzero(labels))
+    clean = scores.take(np.flatnonzero(np.logical_not(labels)))
+    if att.size == 0 or clean.size == 0:
         raise DegenerateLabelsError("threshold optimization needs both classes")
-    # any order of tied scores will do: both optimizers cut only between
-    # distinct values
-    order = np.argsort(scores)
-    s = scores[order]
-    att_below = np.concatenate(([0], np.cumsum(labels[order])))
-    clean_below = np.arange(m + 1) - att_below
-    return s, att_below + ((m - n_att) - clean_below)
+    att.sort()
+    clean.sort()
+    return att, clean
 
 
 def _optimize_exact(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """(tau, pe) minimizing the error over all midpoints of sorted distinct scores."""
-    s, errors = _error_curve(scores, labels)
-    m = scores.size
-    # candidate cuts: below all scores, between distinct neighbours, above all
-    distinct = np.flatnonzero(s[1:] > s[:-1]) + 1
-    cuts = np.concatenate(([0], distinct, [m]))
-    best = int(cuts[int(np.argmin(errors[cuts]))])  # ties -> smallest threshold
-    if best == 0:
-        tau = -math.inf
-    elif best == m:
-        tau = math.inf
-    else:
-        tau = 0.5 * (s[best - 1] + s[best])
-    return float(tau), float(errors[best] / m)
+    """(tau, pe) minimizing the error over all midpoints of sorted distinct scores.
+
+    Scores above tau are declared attacked.  The error count rises across
+    every attacked score and falls only across a clean one, so the smallest
+    minimizing cut lies below every score or just above the last copy of a
+    clean value w, where the errors are #attacked <= w plus #clean > w.
+    """
+    att, clean = _split_sorted(scores, labels)
+    n_clean = clean.size
+    # a stable sort of two sorted runs merges them, attacked copies of a tied
+    # value first: the k-th clean score's merged position less k counts the
+    # attacked scores at or below it; n_clean - 1 - k clean scores lie above
+    order = np.argsort(np.concatenate((att, clean)), kind="stable")
+    errors = np.flatnonzero(order >= att.size)
+    del order
+    errors += np.arange(n_clean - 1, -n_clean - 1, -2)
+    best = int(np.argmin(errors))  # the smallest minimizing w, at its last copy
+    if errors[best] >= n_clean:  # the cut below every score errs n_clean times
+        return -math.inf, n_clean / scores.size
+    a = int(errors[best]) - (n_clean - 1 - best)  # attacked scores at or below w
+    above = np.concatenate((clean[best + 1 : best + 2], att[a : a + 1]))
+    tau = 0.5 * (clean[best] + above.min()) if above.size else math.inf
+    return float(tau), int(errors[best]) / scores.size
 
 
 def _optimize_grid(scores, labels, lo: float, hi: float, steps: int) -> tuple[float, float]:
     """(tau, pe) minimizing the error over an equally spaced grid."""
-    s, errors = _error_curve(scores, labels)
+    att, clean = _split_sorted(scores, labels)
     taus = np.linspace(lo, hi, steps)
-    cuts = np.searchsorted(s, taus, side="right")
-    best_idx = int(np.argmin(errors[cuts]))  # ties -> smallest threshold
-    return float(taus[best_idx]), float(errors[cuts[best_idx]] / scores.size)
+    # errors less the constant #clean: misses minus clean scores at or below tau
+    errors = np.searchsorted(att, taus, "right") - np.searchsorted(clean, taus, "right")
+    best = int(np.argmin(errors))  # ties -> smallest threshold
+    return float(taus[best]), int(errors[best] + clean.size) / scores.size
 
 
 def run_experiment(

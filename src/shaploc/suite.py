@@ -136,6 +136,8 @@ class SuiteConfig:
             raise ConfigError("experiment names must be unique")
         if self.fmt not in ("csv", "markdown"):
             raise ConfigError(f"format: unknown output format {self.fmt!r}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError("seed: must lie in [0, 2**64)")
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +320,7 @@ def preset_table2(trials: int = 1_000_000, seed: int = 0) -> SuiteConfig:
 
 def experiment_seed(suite_seed: int, index: int) -> int:
     """Derived 64-bit stream key for the index-th experiment of a suite."""
-    ss = np.random.SeedSequence((suite_seed & 0xFFFFFFFFFFFFFFFF, index))
+    ss = np.random.SeedSequence((suite_seed, index))
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -86,6 +86,22 @@ def test_preset_byte_identical_reruns(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_seed_outside_the_stream_key_range_exit_code(tmp_path, capsys):
+    # such a seed would otherwise wrap round to another seed's rows
+    for seed in (-1, 2**64, 2**64 + 1):
+        assert main(["preset", "table2", "--trials", "50", "--seed", str(seed)]) == 1
+        assert "config error: seed" in capsys.readouterr().err
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text(f"[suite]\nseed = {seed}\n\n[experiment.x]\nattack_type = A\nam = 1\n")
+        assert main(["run", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "config error: seed" in captured.err
+        assert captured.out == ""
+    args = ["preset", "table2", "--trials", "50", "--seed", str(2**64 - 1), "--no-timestamp"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith(f"# shaploc suite, seed={2**64 - 1}\n")
+
+
 def test_preset_table1_markdown(tmp_path, capsys):
     assert main([
         "preset", "table1", "--trials", "500", "--no-timestamp",

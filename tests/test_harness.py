@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from shaploc import (
     AttackSpec,
@@ -18,11 +18,14 @@ from shaploc import (
     shapley_from_values,
     simulate_scores,
 )
+from shaploc.attacks import offsets_from_uniforms
 from shaploc.harness import (
     _optimize_exact,
     _optimize_grid,
     _simulate_chunk,
+    _slot_count,
     _trial_observations,
+    _trial_uniforms,
 )
 from shaploc.suite import experiment_seed
 
@@ -381,6 +384,45 @@ def test_chunk_scores_match_the_coalition_table():
             # the quadratic form sums the same terms in another order
             scale = np.max(np.abs(table), axis=0)
             assert np.all(np.abs(phi - shapley_from_values(table, sensor)) <= 1e-12 * scale)
+
+
+def reference_observations(config, start, count):
+    """Trials built the plain way: trial-major rows, then a masked attack add."""
+    n = config.model.n
+    k, stride = _slot_count(config)
+    u = _trial_uniforms(config.seed, stride, start, count)
+    attacked = u[:, 0] < config.attack_prior
+    z = ndtri(np.clip(u[:, 1 : 1 + n], 1e-300, 1.0))
+    if count == 1:  # the matrix-matrix BLAS path, as in the harness
+        z = np.concatenate((z, z))
+    clean = config.model.mean + (z @ config.model.chol.T)[:count]
+    xs = clean.copy()
+    offsets = offsets_from_uniforms(config.attack, u[:, 1 + n : k])
+    for col, j in enumerate(config.attack.targets):
+        xs[attacked, j] += offsets[attacked, col]
+    return xs, attacked, clean
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "C"])
+@pytest.mark.parametrize("targets", [[0], [1], [0, 1]])
+def test_injection_matches_the_trial_major_reference(kind, targets):
+    model = GaussianModel([0.5, -2.0], [[2.25, -0.6], [-0.6, 0.5625]])
+    attack = AttackSpec(
+        kind=kind, am=1.25, targets=Coalition.of(targets, 2),
+        sigma_a=0.7 if kind == "B" else None, um=2.0 if kind == "C" else None,
+    )
+    config = ExperimentConfig(model=model, attack=attack, trials=400, seed=31)
+    for start, count in ((0, 300), (17, 1)):
+        xs, attacked = _trial_observations(config, start, count)
+        want, want_attacked, clean = reference_observations(config, start, count)
+        assert xs.shape == (count, 2)
+        assert np.array_equal(attacked, want_attacked)
+        assert count == 1 or 0 < np.count_nonzero(attacked) < count
+        assert np.array_equal(xs, want)
+        # clean trials carry no offset, and no sensor outside the targets does
+        assert np.array_equal(xs[~attacked], clean[~attacked])
+        others = [j for j in range(2) if j not in targets]
+        assert np.array_equal(xs[:, others], clean[:, others])
 
 
 def test_linear_statistic_reaches_the_bayes_error_on_table2():

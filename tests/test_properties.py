@@ -1,4 +1,6 @@
-"""Property tests over randomly drawn Gaussian models."""
+"""Property tests over randomly drawn Gaussian models and labelled scores."""
+
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 from shaploc import (  # noqa: E402
     AttackSpec,
     Coalition,
+    DegenerateLabelsError,
     ExperimentConfig,
     GaussianModel,
     GaussianValueFunction,
@@ -18,6 +21,7 @@ from shaploc import (  # noqa: E402
     shapley_from_values,
     simulate_scores,
 )
+from shaploc.harness import _optimize_exact, _optimize_grid  # noqa: E402
 from shaploc.shapley import _TABLE_PER_PERMUTATION, gaussian_shapley_form  # noqa: E402
 
 
@@ -149,6 +153,69 @@ def test_scores_do_not_depend_on_the_chunk(drawn, data):
     whole = simulate_scores(config)
     chunked = simulate_scores(config, chunk=data.draw(st.integers(1, trials)))
     assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
+
+
+def reference_error_curve(scores, labels):
+    """(sorted scores, errors per cut): one argsort and a cumulative count.
+
+    Cut c declares the c smallest scores clean; errors[c] counts the
+    attacked among them plus the clean among the rest.
+    """
+    m = scores.size
+    n_att = int(np.count_nonzero(labels))
+    order = np.argsort(scores)
+    s = scores[order]
+    att_below = np.concatenate(([0], np.cumsum(labels[order])))
+    clean_below = np.arange(m + 1) - att_below
+    return s, att_below + ((m - n_att) - clean_below)
+
+
+def reference_exact(scores, labels):
+    s, errors = reference_error_curve(scores, labels)
+    m = scores.size
+    cuts = np.concatenate(([0], np.flatnonzero(s[1:] > s[:-1]) + 1, [m]))
+    best = int(cuts[int(np.argmin(errors[cuts]))])
+    if best == 0:
+        return -math.inf, float(errors[0] / m)
+    if best == m:
+        return math.inf, float(errors[m] / m)
+    return float(0.5 * (s[best - 1] + s[best])), float(errors[best] / m)
+
+
+def reference_grid(scores, labels, lo, hi, steps):
+    s, errors = reference_error_curve(scores, labels)
+    taus = np.linspace(lo, hi, steps)
+    cuts = np.searchsorted(s, taus, side="right")
+    best = int(np.argmin(errors[cuts]))
+    return float(taus[best]), float(errors[cuts[best]] / scores.size)
+
+
+@st.composite
+def labelled_scores(draw):
+    """m = 1..200 scores with any label mix, tie-heavy or continuous."""
+    m = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        scores = 0.5 * np.array(draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m)))
+    else:
+        scores = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=m, max_size=m)))
+    labels = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    return scores, labels
+
+
+@given(labelled_scores(), st.floats(-8.0, 8.0), st.floats(1e-3, 16.0), st.integers(2, 60))
+def test_optimizers_equal_the_reference_error_curve(drawn, lo, width, steps):
+    scores, labels = drawn
+    hi = lo + width
+    if labels.all() or not labels.any():
+        with pytest.raises(DegenerateLabelsError):
+            _optimize_exact(scores, labels)
+        with pytest.raises(DegenerateLabelsError):
+            _optimize_grid(scores, labels, lo, hi, steps)
+        return
+    assert _optimize_exact(scores, labels) == reference_exact(scores, labels)
+    assert _optimize_grid(scores, labels, lo, hi, steps) == reference_grid(
+        scores, labels, lo, hi, steps
+    )
 
 
 @given(st.integers(0, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
