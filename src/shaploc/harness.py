@@ -19,12 +19,23 @@ Randomness is counter-based: trial j always reads the same slots of a
 Philox stream keyed by the experiment seed, so results are reproducible
 trial by trial and independent of execution order.  Every chunk size, a
 chunk of one trial included, gives each trial the same bits.
+
+Trial chunks, the two class sorts and the threshold counts run on one
+thread pool per process, sized by the CPUs this process may run on; numpy
+and scipy release the interpreter lock in that work.  Workers write only
+into arrays the calling thread allocated, and each worker's own scratch
+stays chunk-sized: freed worker temporaries stay resident in glibc's
+per-thread heaps, so a worker-allocated result would raise peak RSS even
+where the traced peak does not rise.  Results do not depend on the number
+of workers.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +47,51 @@ from .gaussian import _LOG_2PI, GaussianModel
 from .shapley import gaussian_shapley_form
 
 Z_95 = 1.96
+# trials per generation chunk and clean scores per threshold-count block:
+# the unit of work a pool worker takes, and the size of its scratch
+_TRIAL_CHUNK = 1 << 14
+_COUNT_BLOCK = 1 << 14
+
+
+def _new_pool() -> ThreadPoolExecutor | None:
+    """A pool with one worker per usable CPU, or None on one CPU."""
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(workers, "shaploc") if workers > 1 else None
+
+
+# threads start on first use, not at import
+_POOL = _new_pool()
+
+
+def _rebuild_pool() -> None:
+    # a forked child inherits the pool's state but not its threads: work
+    # queued on the inherited pool would wait forever
+    global _POOL
+    _POOL = _new_pool()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_rebuild_pool)
+
+
+def _run_all(fn, items) -> None:
+    """Call ``fn`` on every item, on the pool when there is one.
+
+    Every call has finished when this returns or raises; the first
+    exception, in item order, is raised.
+    """
+    pool = _POOL
+    if pool is None:
+        for item in items:
+            fn(item)
+        return
+    futures = [pool.submit(fn, item) for item in items]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 class DegenerateLabelsError(ValueError):
@@ -86,8 +142,9 @@ class ExperimentConfig:
             )
         if self.attack.targets.n != self.model.n:
             raise ValueError("attack universe does not match the model")
-        if isinstance(self.threshold_mode, str) and self.threshold_mode != "exact":
-            raise ValueError(f"unknown threshold mode {self.threshold_mode!r}")
+        mode = self.threshold_mode
+        if not (isinstance(mode, GridSpec) or (isinstance(mode, str) and mode == "exact")):
+            raise ValueError(f"unknown threshold mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -198,18 +255,23 @@ def _simulate_chunk(
 
 
 def simulate_scores(
-    config: ExperimentConfig, chunk: int = 1 << 17
+    config: ExperimentConfig, chunk: int = _TRIAL_CHUNK
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All trial scores and labels, computed in deterministic chunks."""
     if chunk < 1:
         raise ValueError("chunk must hold at least one trial")
     m = config.trials
     phi, v, labels = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
-    for start in range(0, m, chunk):
+    # build the form here, so the workers find it cached
+    _scoring_form(config.model, config.sensor_under_test)
+
+    def fill(start: int) -> None:
         stop = min(start + chunk, m)
         phi[start:stop], v[start:stop], labels[start:stop] = _simulate_chunk(
             config, start, stop - start
         )
+
+    _run_all(fill, range(0, m, chunk))
     return phi, v, labels
 
 
@@ -223,8 +285,7 @@ def _split_sorted(scores: np.ndarray, labels: np.ndarray):
     clean = scores.take(np.flatnonzero(np.logical_not(labels)))
     if att.size == 0 or clean.size == 0:
         raise DegenerateLabelsError("threshold optimization needs both classes")
-    att.sort()
-    clean.sort()
+    _run_all(np.ndarray.sort, (att, clean))
     return att, clean
 
 
@@ -238,13 +299,17 @@ def _optimize_exact(scores: np.ndarray, labels: np.ndarray) -> tuple[float, floa
     """
     att, clean = _split_sorted(scores, labels)
     n_clean = clean.size
-    # a stable sort of two sorted runs merges them, attacked copies of a tied
-    # value first: the k-th clean score's merged position less k counts the
-    # attacked scores at or below it; n_clean - 1 - k clean scores lie above
-    order = np.argsort(np.concatenate((att, clean)), kind="stable")
-    errors = np.flatnonzero(order >= att.size)
-    del order
-    errors += np.arange(n_clean - 1, -n_clean - 1, -2)
+    errors = np.empty(n_clean, dtype=np.intp)
+
+    def count(lo: int) -> None:
+        # errors at the k-th clean score w: #attacked <= w, plus the
+        # n_clean - 1 - k clean scores above it
+        hi = min(lo + _COUNT_BLOCK, n_clean)
+        block = np.searchsorted(att, clean[lo:hi], "right")
+        block += np.arange(n_clean - 1 - lo, n_clean - 1 - hi, -1)
+        errors[lo:hi] = block
+
+    _run_all(count, range(0, n_clean, _COUNT_BLOCK))
     best = int(np.argmin(errors))  # the smallest minimizing w, at its last copy
     if errors[best] >= n_clean:  # the cut below every score errs n_clean times
         return -math.inf, n_clean / scores.size

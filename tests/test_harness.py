@@ -239,6 +239,14 @@ def test_config_validation():
     assert (config.trials, config.seed, config.sensor_under_test) == (8, 3, 1)
 
 
+def test_threshold_mode_must_be_exact_or_a_grid():
+    # any mode that was not a string used to run the exact search
+    for mode in (None, 5, ("exact",), "grid", "exact-sort", GridSpec):
+        with pytest.raises(ValueError, match="threshold mode"):
+            two_sensor_config(threshold_mode=mode)
+    two_sensor_config(threshold_mode=GridSpec(0.0, 1.0, 2))
+
+
 def test_largest_philox_key_is_accepted():
     config = two_sensor_config(trials=8, seed=(1 << 128) - 1)
     assert simulate_scores(config)[0].size == 8

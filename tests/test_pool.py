@@ -1,0 +1,188 @@
+"""The harness's thread pool: the same bits as the serial path, failures
+that stay in their experiment, forked children and the memory budget."""
+
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import shaploc
+from shaploc import (
+    AttackSpec,
+    Coalition,
+    ExperimentConfig,
+    ExperimentSpec,
+    GaussianModel,
+    GridSpec,
+    SuiteConfig,
+    run_experiment,
+    run_suite,
+    simulate_scores,
+)
+from shaploc import harness
+from shaploc.cli import main
+from shaploc.harness import _COUNT_BLOCK, _TRIAL_CHUNK
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """The harness's pool, or a two-worker one where this process has one CPU."""
+    if harness._POOL is not None:
+        yield harness._POOL
+        return
+    with ThreadPoolExecutor(2) as own:
+        monkeypatch.setattr(harness, "_POOL", own)
+        yield own
+
+
+def three_sensor_config(kind, threshold_mode="exact", trials=4 * _TRIAL_CHUNK + 5):
+    model = GaussianModel(
+        [0.5, -1.0, 2.0], [[2.0, 0.6, -0.3], [0.6, 1.0, 0.4], [-0.3, 0.4, 1.5]]
+    )
+    attack = AttackSpec(
+        kind=kind, am=1.5, targets=Coalition.of([0, 1], 3),
+        sigma_a=0.7 if kind == "B" else None, um=2.0 if kind == "C" else None,
+    )
+    return ExperimentConfig(
+        model=model, attack=attack, sensor_under_test=1, trials=trials, seed=77,
+        threshold_mode=threshold_mode,
+    )
+
+
+@pytest.mark.parametrize("kind, mode", [
+    ("A", "exact"), ("B", "exact"), ("C", "exact"), ("A", GridSpec(0.0, 12.0, 301)),
+])
+def test_pool_and_serial_path_give_the_same_bits(pool, monkeypatch, kind, mode):
+    config = three_sensor_config(kind, mode)
+    pooled_scores = simulate_scores(config)
+    pooled = run_experiment(config)
+    # the clean class spans several count blocks
+    assert np.count_nonzero(~pooled_scores[2]) > 2 * _COUNT_BLOCK
+    monkeypatch.setattr(harness, "_POOL", None)
+    serial_scores = simulate_scores(config)
+    assert all(np.array_equal(a, b) for a, b in zip(pooled_scores, serial_scores))
+    assert run_experiment(config) == pooled
+
+
+def test_more_workers_than_cores_and_fast_switching_give_the_same_bits(monkeypatch):
+    config = three_sensor_config("B")
+    monkeypatch.setattr(harness, "_POOL", None)
+    want_scores = simulate_scores(config)
+    want = run_experiment(config)
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(8) as many:
+        monkeypatch.setattr(harness, "_POOL", many)
+        sys.setswitchinterval(1e-6)
+        try:
+            got_scores = simulate_scores(config, chunk=997)
+            got = run_experiment(config)
+        finally:
+            sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(got_scores, want_scores))
+    assert got == want
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks")
+def test_a_one_cpu_process_prints_the_pooled_csv(pool, tmp_path):
+    args = ["preset", "table2", "--trials", "20000", "--seed", "7", "--no-timestamp"]
+    pooled = tmp_path / "pooled.csv"
+    assert main(args + ["--out", str(pooled)]) == 0
+    serial = tmp_path / "serial.csv"
+    # the child pins itself before it imports shaploc, so it builds no pool
+    script = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from shaploc import harness\n"
+        "from shaploc.cli import main\n"
+        "assert harness._POOL is None\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(shaploc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    subprocess.run(
+        [sys.executable, "-c", script, *args, "--out", str(serial)],
+        env=env, check=True, timeout=300,
+    )
+    assert serial.read_bytes() == pooled.read_bytes()
+
+
+def test_a_failing_chunk_fails_only_its_experiment(pool, monkeypatch):
+    failed_on = []
+    simulate_chunk = harness._simulate_chunk
+
+    def fail_second_chunk(config, start, count):
+        if config.attack.am == 2.0 and start == _TRIAL_CHUNK:
+            failed_on.append(threading.current_thread())
+            raise RuntimeError("chunk failed")
+        return simulate_chunk(config, start, count)
+
+    monkeypatch.setattr(harness, "_simulate_chunk", fail_second_chunk)
+    trials = 3 * _TRIAL_CHUNK
+    cfg = SuiteConfig(experiments=tuple(
+        (name, ExperimentSpec(attack_type="A", am=am, trials=trials))
+        for name, am in (("first", 1.0), ("bad", 2.0), ("last", 3.0))
+    ))
+    status, rows = run_suite(cfg)
+    assert status == 2
+    assert [row["name"] for row in rows] == ["first", "bad FAILED: chunk failed", "last"]
+    assert rows[0]["Pe_v"] is not None and rows[2]["Pe_v"] is not None
+    assert failed_on and threading.main_thread() not in failed_on
+
+
+def _experiment_in_child(config, conn):
+    conn.send(run_experiment(config))
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+def test_a_forked_child_runs_experiments():
+    config = three_sensor_config("A", trials=3 * _TRIAL_CHUNK)
+    # the parent's workers now exist and wait for work
+    want = run_experiment(config)
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_experiment_in_child, args=(config, writer))
+    child.start()
+    writer.close()
+    try:
+        assert reader.poll(30), "the forked child's experiment did not finish"
+        got = reader.recv()
+    finally:
+        reader.close()
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert not child.is_alive()
+    assert got == want
+
+
+def test_experiment_scratch_stays_under_40_bytes_per_trial(monkeypatch):
+    # Two workers, as on a 2-core host: each worker adds a chunk's scratch.
+    # phi, v and the labels hold 17 B a trial and the two sorted classes 8;
+    # a merge of the classes by a concatenate and an argsort held 16 more.
+    trials = 1 << 18
+    model = GaussianModel([0.0, 0.0], [[4.0, 3.2], [3.2, 4.0]])
+    attack = AttackSpec(kind="A", am=1.0, targets=Coalition.of([0], 2))
+    config = ExperimentConfig(model=model, attack=attack, trials=trials, seed=5)
+    with ThreadPoolExecutor(2) as two:
+        monkeypatch.setattr(harness, "_POOL", two)
+        run_experiment(config)  # builds the scoring form and starts the workers
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak / trials <= 40

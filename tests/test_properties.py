@@ -21,7 +21,7 @@ from shaploc import (  # noqa: E402
     shapley_from_values,
     simulate_scores,
 )
-from shaploc.harness import _optimize_exact, _optimize_grid  # noqa: E402
+from shaploc.harness import _COUNT_BLOCK, _optimize_exact, _optimize_grid  # noqa: E402
 from shaploc.shapley import _TABLE_PER_PERMUTATION, gaussian_shapley_form  # noqa: E402
 
 
@@ -216,6 +216,38 @@ def test_optimizers_equal_the_reference_error_curve(drawn, lo, width, steps):
     assert _optimize_grid(scores, labels, lo, hi, steps) == reference_grid(
         scores, labels, lo, hi, steps
     )
+
+
+def block_edge_scores(shape, n_clean, rng):
+    """(clean, attacked) scores whose sorted clean class crosses count blocks."""
+    if shape == "continuous":
+        return rng.normal(size=n_clean), rng.normal(1.0, size=n_clean // 2)
+    if shape == "tied":
+        return 0.5 * rng.integers(-6, 7, n_clean), 0.5 * rng.integers(-4, 9, n_clean // 3)
+    # runs of 7 tied clean values, one straddling the first block edge; the
+    # attacked scores start just above that run, so the best cut lies there
+    clean = np.arange(n_clean) // 7 * 1.0
+    w = clean[min(n_clean, _COUNT_BLOCK) - 1]
+    return clean, w + 0.5 + rng.integers(0, 40, n_clean + 7) // 5
+
+
+@pytest.mark.parametrize("shape", ["continuous", "tied", "edge"])
+@pytest.mark.parametrize("n_clean", [
+    _COUNT_BLOCK - 1, _COUNT_BLOCK, _COUNT_BLOCK + 1, 2 * _COUNT_BLOCK + 1,
+])
+def test_exact_counts_across_count_blocks(shape, n_clean):
+    rng = np.random.default_rng([n_clean, len(shape)])
+    clean, attacked = block_edge_scores(shape, n_clean, rng)
+    if shape != "continuous" and n_clean > _COUNT_BLOCK:
+        edge = np.sort(clean)[_COUNT_BLOCK - 1 : _COUNT_BLOCK + 1]
+        assert edge[0] == edge[1]  # a tied run straddles the block edge
+    order = rng.permutation(clean.size + attacked.size)
+    scores = np.concatenate((clean, attacked))[order]
+    labels = (np.arange(scores.size) >= clean.size)[order]
+    tau, pe = _optimize_exact(scores, labels)
+    assert (tau, pe) == reference_exact(scores, labels)
+    if shape == "edge":
+        assert tau == np.sort(clean)[min(n_clean, _COUNT_BLOCK) - 1] + 0.25
 
 
 @given(st.integers(0, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
