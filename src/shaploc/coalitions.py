@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,13 +45,25 @@ class Coalition:
     def _trusted(cls, bits: int, n: int) -> "Coalition":
         """A coalition of a mask the engine made, so known to fit: no checks.
 
-        The Shapley engine builds one per coalition it hands to a value
-        function or predicate; validation would triple the cost of each.
+        Validation would triple the cost of the coalitions the Shapley
+        engine hands to a value function one at a time.
         """
         s = object.__new__(cls)
         _set_bits(s, bits)
         _set_n(s, n)
         return s
+
+    @classmethod
+    def _trusted_block(cls, masks: Sequence[int], n: int) -> list["Coalition"]:
+        """``_trusted(mask, n)`` for each of ``masks``, built in bulk.
+
+        ``map`` makes the objects and fills their slots without running a
+        Python frame per coalition.
+        """
+        block = list(map(object.__new__, repeat(cls, len(masks))))
+        deque(map(_set_bits, block, masks), 0)
+        deque(map(_set_n, block, repeat(n)), 0)
+        return block
 
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.n and bool((self.bits >> i) & 1)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Protocol, runtime_checkable
+from itertools import chain, repeat
+from typing import Callable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -88,6 +89,32 @@ def _check_universe(n: int) -> None:
         )
 
 
+# the coalitions handed to a value function or a predicate are built this
+# many at a time, so the engine's scratch for them is one block at any n.
+# A block stays below the collector's default threshold of 700 live new
+# objects: at 2^10 and 2^11 each truncated_shapley call at n = 14 ran seven
+# young collections and took about 4% longer.
+_COALITION_BLOCK = 1 << 9
+
+
+def _coalitions(n: int, skip: int | None = None) -> Iterator[Coalition]:
+    """Every coalition of n sensors, or every one without sensor ``skip``, by increasing mask.
+
+    They are built a block at a time, and a block is dropped once consumed.
+    """
+    count = 1 << n if skip is None else 1 << (n - 1)
+
+    def blocks():
+        for lo in range(0, count, _COALITION_BLOCK):
+            masks = range(lo, min(lo + _COALITION_BLOCK, count))
+            if skip is not None:  # spread each (n-1)-bit mask around bit skip
+                sub = np.arange(masks.start, masks.stop)
+                masks = (((sub >> skip) << (skip + 1)) | (sub & ((1 << skip) - 1))).tolist()
+            yield Coalition._trusted_block(masks, n)
+
+    return chain.from_iterable(blocks())
+
+
 def _values(v: ValueFunction, x) -> np.ndarray:
     """v(S, x) for every coalition S, indexed by bit mask.
 
@@ -97,8 +124,7 @@ def _values(v: ValueFunction, x) -> np.ndarray:
     n = v.n
     if isinstance(v, GaussianValueFunction):
         return v.model.coalition_values(check_observation(x, n)[None, :])[:, 0]
-    trusted = Coalition._trusted
-    return np.array([v(trusted(mask, n), x) for mask in range(1 << n)], dtype=float)
+    return np.fromiter(map(v, _coalitions(n), repeat(x)), float, 1 << n)
 
 
 @lru_cache(maxsize=4)
@@ -247,12 +273,10 @@ def truncated_shapley(
     _check_universe(n)
     if not 0 <= i < n:
         raise ValueError(f"sensor index {i} out of range for n={n}")
-    low = (1 << i) - 1
-    trusted = Coalition._trusted
-    kept = np.array([
-        bool(keep(trusted(((sub & ~low) << 1) | (sub & low), n)))
-        for sub in range(1 << (n - 1))
-    ])
+    if isinstance(v, GaussianValueFunction):
+        check_observation(x, n)  # before the predicate's 2^(n-1) calls
+    # fromiter takes each answer's truth value, as bool() would
+    kept = np.fromiter(map(keep, _coalitions(n, i)), bool, 1 << (n - 1))
     weights = np.where(kept, _pair_weights(n), 0.0)
     mass = weights.sum()
     if mass == 0.0:

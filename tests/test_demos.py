@@ -1,12 +1,22 @@
-"""The demos are not run by the test suite; check that their imports resolve."""
+"""Check that every demo's imports resolve, and run the quick demos.
+
+The quick demos run in a subprocess with warnings as errors and a timeout,
+and must exit 0 and print something.  ``complexity_scaling.py`` takes
+about 12 s, so only its imports are checked.
+"""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+QUICK_DEMOS = ["truncation_and_sampling.py", "single_term_equivalence.py", "localization_error_rates.py"]
 
 
 def _shaploc_imports(path):
@@ -20,6 +30,7 @@ def _shaploc_imports(path):
 
 def test_every_demo_is_checked():
     assert DEMOS
+    assert set(QUICK_DEMOS) <= {p.name for p in DEMOS}
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
@@ -29,3 +40,16 @@ def test_demo_imports_exist(path):
     for module, name in imports:
         mod = importlib.import_module(module)
         assert name is None or hasattr(mod, name), f"{path.name}: {module} has no {name}"
+
+
+@pytest.mark.parametrize("name", QUICK_DEMOS)
+def test_quick_demo_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "demos" / name)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
+    assert not any(tmp_path.iterdir()), f"{name} wrote files"

@@ -6,23 +6,31 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from shaploc import (  # noqa: E402
     AttackSpec,
     Coalition,
     DegenerateLabelsError,
+    EmptyKeptSetError,
     ExperimentConfig,
     GaussianModel,
     GaussianValueFunction,
     all_shapley,
+    exact_shapley,
     sampled_shapley,
     shapley_from_values,
     simulate_scores,
+    truncated_shapley,
 )
 from shaploc.harness import _COUNT_BLOCK, _optimize_exact, _optimize_grid  # noqa: E402
-from shaploc.shapley import _TABLE_PER_PERMUTATION, gaussian_shapley_form  # noqa: E402
+from shaploc.shapley import (  # noqa: E402
+    _TABLE_PER_PERMUTATION,
+    _pair_weights,
+    _transform,
+    gaussian_shapley_form,
+)
 
 
 @st.composite
@@ -255,3 +263,71 @@ def test_coalition_round_trip(drawn):
     n, bits = drawn
     s = Coalition(bits, n)
     assert Coalition.of(list(s), n) == s
+
+
+class TableGame:
+    """A value function read from a 2^n table; it also checks each coalition's universe."""
+
+    def __init__(self, table):
+        self.table = table
+        self.n = table.size.bit_length() - 1
+
+    def __call__(self, s, x=None):
+        return self.table[s.bits] if s.n == self.n else math.nan
+
+
+def listed_values(v, x):
+    """v(S, x) for every mask, one coalition built per call: the engine's former loop."""
+    n = v.n
+    return np.array([v(Coalition._trusted(mask, n), x) for mask in range(1 << n)], dtype=float)
+
+
+def listed_truncated(values, n, i, keep):
+    """Sensor i's truncated Shapley sum, its predicate called by the engine's former loop."""
+    low = (1 << i) - 1
+    kept = np.array([
+        bool(keep(Coalition._trusted(((sub & ~low) << 1) | (sub & low), n)))
+        for sub in range(1 << (n - 1))
+    ])
+    weights = np.where(kept, _pair_weights(n), 0.0)
+    mass = weights.sum()
+    if mass == 0.0:
+        raise EmptyKeptSetError("truncation predicate kept no coalition")
+    return float(_transform(values, (i,), weights)[0] / mass)
+
+
+def _outcome(f, *args):
+    """The bytes of f's result, so -0.0 differs from 0.0, or the type of its refusal."""
+    try:
+        return np.float64(f(*args)).tobytes()
+    except EmptyKeptSetError as e:
+        return type(e)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 14), st.integers(0, 2**32 - 1), st.sampled_from(["sizes", "masks"]),
+       st.floats(0.0, 1.0))
+@example(14, 0, "sizes", 0.3)
+@example(14, 1, "masks", 0.02)
+def test_block_enumeration_equals_the_former_loops(n, seed, kind, share):
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=1 << n)
+    table[0] = 0.0
+    game = TableGame(table)
+    values = listed_values(game, None)
+    assert all_shapley(game, None).phi.tobytes() == shapley_from_values(values).tobytes()
+    if kind == "sizes":
+        sizes = {c for c in range(n) if rng.random() < share}
+
+        def keep(s):
+            return len(s) in sizes
+    else:
+        masks = set(np.flatnonzero(rng.random(1 << n) < share).tolist())
+
+        def keep(s):
+            return s.bits in masks
+
+    for i in range(n):
+        assert _outcome(exact_shapley, game, None, i) == _outcome(shapley_from_values, values, i)
+        want = _outcome(listed_truncated, values, n, i, keep)
+        assert _outcome(truncated_shapley, game, None, i, keep) == want

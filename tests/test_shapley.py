@@ -250,6 +250,146 @@ def test_truncation_empty_kept_set_raises():
         truncated_shapley(game, None, 0, lambda s: False)
 
 
+@pytest.mark.parametrize("bad", ["short", "nan"])
+def test_truncation_validates_the_observation_before_calling_keep(bad):
+    n = 18
+    vf = GaussianValueFunction(GaussianModel(np.zeros(n), np.eye(n)))
+    x = np.zeros(n - 1) if bad == "short" else np.where(np.arange(n) == 4, np.nan, 0.0)
+    calls = []
+
+    def keep(s):
+        calls.append(s)
+        return True
+
+    with pytest.raises(ValueError) as want:
+        all_shapley(vf, x)
+    with pytest.raises(ValueError) as got:
+        truncated_shapley(vf, x, 0, keep)
+    assert type(got.value) is type(want.value)
+    assert (type(got.value) is DimensionMismatchError) == (bad == "short")
+    assert calls == []
+
+
+# ----------------------------------------------------------------------
+# the coalitions handed to a predicate or a value function
+
+
+class RecordingGame(TableGame):
+    """A table game that records every coalition and observation it is called with."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.calls = []
+
+    def __call__(self, s, x=None):
+        self.calls.append((s, x))
+        return super().__call__(s, x)
+
+
+def _check_arguments(seen, masks, n):
+    assert [s.bits for s in seen] == masks
+    for s in seen:
+        want = Coalition(s.bits, n)
+        assert type(s) is Coalition and s == want and hash(s) == hash(want) and s.n == n
+
+
+@pytest.mark.parametrize("block", [None, 300])
+def test_each_coalition_is_handed_over_once_in_mask_order(monkeypatch, block):
+    import shaploc.shapley as shapley
+
+    if block is not None:  # a block that does not divide the coalition count
+        monkeypatch.setattr(shapley, "_COALITION_BLOCK", block)
+    n, i = 14, 5
+    assert shapley._COALITION_BLOCK < 1 << (n - 1)
+    game = RecordingGame(np.random.default_rng(30).normal(size=1 << n))
+    x = object()
+    seen = []
+
+    def keep(s):
+        seen.append(s)  # stored past the call, so must stay intact
+        return len(s) <= 2
+
+    truncated_shapley(game, x, i, keep)
+    _check_arguments(seen, [m for m in range(1 << n) if not m >> i & 1], n)
+    _check_arguments([s for s, _ in game.calls], list(range(1 << n)), n)
+    assert all(y is x for _, y in game.calls)
+    game.calls.clear()
+    all_shapley(game, x)
+    _check_arguments([s for s, _ in game.calls], list(range(1 << n)), n)
+    _check_arguments(seen, [m for m in range(1 << n) if not m >> i & 1], n)
+
+
+def test_predicate_answers_weigh_as_their_truth_values():
+    n, i = 14, 2
+    game = random_table_game(n, np.random.default_rng(31))
+    answers = [np.bool_(True), np.bool_(False), 1, 0, None, 2, np.int64(0), np.int64(3),
+               "", "no", 0.0, float("nan"), [], [0], np.array(0.0), np.array([1])]
+
+    def answer(s):
+        return answers[s.bits % len(answers)]
+
+    assert truncated_shapley(game, None, i, answer) == truncated_shapley(
+        game, None, i, lambda s: bool(answer(s))
+    )
+
+
+@pytest.mark.parametrize("fail_at", [0, 700, (1 << 13) - 1])
+def test_an_exception_from_user_code_propagates_unchanged(fail_at):
+    n = 14
+    game = random_table_game(n, np.random.default_rng(32))
+    err = KeyError("stop here")
+    calls = []
+
+    def keep(s):
+        calls.append(s)
+        if len(calls) > fail_at:
+            raise err
+        return True
+
+    with pytest.raises(KeyError) as info:
+        truncated_shapley(game, None, 0, keep)
+    assert info.value is err and len(calls) == fail_at + 1
+
+    def value(s, x):
+        calls.append(s)
+        if len(calls) > fail_at:
+            raise err
+        return game(s, x)
+
+    value.n = n
+    calls.clear()
+    with pytest.raises(KeyError) as info:
+        all_shapley(value, None)
+    assert info.value is err and len(calls) == fail_at + 1
+
+
+def test_truncation_scratch_stays_within_one_block():
+    import tracemalloc
+
+    n = 18
+    a = np.random.default_rng(33).normal(size=(n, n))
+    vf = GaussianValueFunction(GaussianModel(np.zeros(n), a @ a.T / n + np.eye(n)))
+    x = np.ones(n)
+    all_shapley(vf, x)  # the model's factors and the weights are cached outside the count
+    live = []
+
+    def keep(s):
+        if not s.bits & 0x3FF:
+            live.append(tracemalloc.get_traced_memory()[0])
+        return len(s) <= 2
+
+    tracemalloc.start()
+    try:
+        truncated_shapley(vf, x, 3, keep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 2^17 coalitions take about 10 MiB if built at once; the table,
+    # weights and transform about 5.3 MiB
+    assert max(live) <= 1 << 20
+    assert peak <= 6 << 20
+
+
 # ----------------------------------------------------------------------
 # permutation sampling
 
