@@ -331,3 +331,41 @@ def test_block_enumeration_equals_the_former_loops(n, seed, kind, share):
         assert _outcome(exact_shapley, game, None, i) == _outcome(shapley_from_values, values, i)
         want = _outcome(listed_truncated, values, n, i, keep)
         assert _outcome(truncated_shapley, game, None, i, keep) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@example(14, 2, 0.3)
+@example(16, 3, 0.05)
+def test_kept_universe_and_blocks_give_the_same_bits(n, seed, share):
+    from unittest import mock
+
+    import shaploc.shapley as shapley
+
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=1 << n)
+    table[0] = 0.0
+    game = TableGame(table)
+    masks = set(np.flatnonzero(rng.random(1 << n) < share).tolist())
+
+    def keep(s):
+        return s.bits in masks
+
+    sensors = range(n) if n <= 12 else sorted(set(rng.integers(0, n, size=3).tolist()))
+
+    def outcomes():
+        got = [all_shapley(game, None).phi.tobytes()]
+        for i in sensors:
+            got.append(_outcome(exact_shapley, game, None, i))
+            got.append(_outcome(truncated_shapley, game, None, i, keep))
+            got.append(_outcome(sampled_shapley, game, None, i, 7, np.random.default_rng([seed, i])))
+        return got
+
+    try:
+        with mock.patch.object(shapley, "_KEPT_COALITIONS", 1 << n):
+            kept = outcomes()
+    finally:
+        if n > 14:  # drop the universe the raised limit kept
+            shapley._universe.cache_clear()
+    with mock.patch.object(shapley, "_KEPT_COALITIONS", 0):
+        assert outcomes() == kept

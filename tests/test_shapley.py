@@ -293,14 +293,20 @@ def _check_arguments(seen, masks, n):
         assert type(s) is Coalition and s == want and hash(s) == hash(want) and s.n == n
 
 
-@pytest.mark.parametrize("block", [None, 300])
-def test_each_coalition_is_handed_over_once_in_mask_order(monkeypatch, block):
+@pytest.mark.parametrize(
+    "kept, block", [(False, None), (False, 300), (True, None)], ids=["None", "300", "kept"]
+)
+def test_each_coalition_is_handed_over_once_in_mask_order(monkeypatch, kept, block):
     import shaploc.shapley as shapley
 
-    if block is not None:  # a block that does not divide the coalition count
-        monkeypatch.setattr(shapley, "_COALITION_BLOCK", block)
     n, i = 14, 5
-    assert shapley._COALITION_BLOCK < 1 << (n - 1)
+    if kept:
+        assert 1 << n <= shapley._KEPT_COALITIONS
+    else:  # built in blocks, as every n above the limit is
+        monkeypatch.setattr(shapley, "_KEPT_COALITIONS", 0)
+        if block is not None:  # a block that does not divide the coalition count
+            monkeypatch.setattr(shapley, "_COALITION_BLOCK", block)
+        assert shapley._COALITION_BLOCK < 1 << (n - 1)
     game = RecordingGame(np.random.default_rng(30).normal(size=1 << n))
     x = object()
     seen = []
@@ -317,6 +323,122 @@ def test_each_coalition_is_handed_over_once_in_mask_order(monkeypatch, block):
     all_shapley(game, x)
     _check_arguments([s for s, _ in game.calls], list(range(1 << n)), n)
     _check_arguments(seen, [m for m in range(1 << n) if not m >> i & 1], n)
+
+
+def test_a_kept_universe_holds_every_coalition_by_mask():
+    import shaploc.shapley as shapley
+
+    for n in range(1, 15):
+        kept = shapley._universe(n)
+        assert len(kept) == 1 << n
+        _check_arguments(kept, list(range(1 << n)), n)
+        assert shapley._universe(n) is kept
+
+
+@pytest.mark.parametrize("path", ["kept", "blocks"])
+def test_every_skip_yields_its_masks_in_order(monkeypatch, path):
+    import shaploc.shapley as shapley
+
+    if path == "blocks":
+        monkeypatch.setattr(shapley, "_KEPT_COALITIONS", 0)
+    for n in range(1, 15):
+        assert [s.bits for s in shapley._coalitions(n)] == list(range(1 << n))
+        for skip in range(n):
+            want = [m for m in range(1 << n) if not m >> skip & 1]
+            assert [s.bits for s in shapley._coalitions(n, skip)] == want
+
+
+def test_a_second_call_hands_out_the_same_objects():
+    n, i = 14, 9
+    game = RecordingGame(np.random.default_rng(34).normal(size=1 << n))
+    seen = [[], []]
+    for calls in seen:
+        truncated_shapley(game, None, i, lambda s: calls.append(s) or len(s) <= 3)
+    assert len(seen[0]) == 1 << (n - 1)
+    assert all(a is b for a, b in zip(*seen))
+    first = [s for s, _ in game.calls]
+    game.calls.clear()
+    all_shapley(game, None)
+    assert all(a is b for a, (b, _) in zip(first, game.calls))
+    game.calls.clear()
+    sampled_shapley(game, None, i, 20, np.random.default_rng(1))
+    assert game.calls and all(s is first[s.bits] for s, _ in game.calls)
+
+
+def test_a_universe_above_the_limit_keeps_nothing():
+    import shaploc.shapley as shapley
+
+    n = 15
+    assert 1 << n > shapley._KEPT_COALITIONS
+    before = shapley._universe.cache_info()
+    game = random_table_game(n, np.random.default_rng(35))
+    seen = [[], []]
+    for calls in seen:
+        truncated_shapley(game, None, 4, lambda s: calls.append(s) or len(s) <= 1)
+        sampled_shapley(game, None, 4, 3, np.random.default_rng(2))
+    assert shapley._universe.cache_info() == before
+    assert [s.bits for s in seen[0]] == [s.bits for s in seen[1]]
+    assert not any(a is b for a, b in zip(*seen))  # each call built its own
+
+
+def test_the_kept_universe_of_14_sensors_takes_at_most_2_mib():
+    import tracemalloc
+
+    import shaploc.shapley as shapley
+
+    shapley._universe(14)  # the kept one, so the count below is the build alone
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fresh = shapley._universe.__wrapped__(14)
+        size = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(fresh) == 1 << 14
+    assert size <= 2 << 20
+
+
+@pytest.mark.parametrize("path", ["kept", "blocks"])
+def test_a_numpy_integer_sensor_index_works_on_a_generic_game(monkeypatch, path):
+    import shaploc.shapley as shapley
+
+    if path == "blocks":
+        monkeypatch.setattr(shapley, "_KEPT_COALITIONS", 0)
+    game = AdditiveValueFunction([1.0, 2.0, 3.0])
+    for i in (np.int64(1), np.int32(1), np.intp(1)):
+        assert sampled_shapley(game, None, i, 5, np.random.default_rng(3)) == 2.0
+        assert exact_shapley(game, None, i) == exact_shapley(game, None, 1)
+        assert truncated_shapley(game, None, i, lambda s: len(s) <= 1) == truncated_shapley(
+            game, None, 1, lambda s: len(s) <= 1
+        )
+        assert shapley_from_values(np.arange(8.0), i) == shapley_from_values(np.arange(8.0), 1)
+    assert sampled_shapley(game, None, 1, np.int64(5), np.random.default_rng(3)) == 2.0
+    for bad in (1.0, np.float64(1.0), "1", None):
+        with pytest.raises(TypeError):
+            sampled_shapley(game, None, bad, 5, np.random.default_rng(3))
+        with pytest.raises(TypeError):
+            exact_shapley(game, None, bad)
+    with pytest.raises(TypeError):
+        sampled_shapley(game, None, 1, 5.0, np.random.default_rng(3))
+
+
+def test_additive_game_adds_left_to_right_as_numpy_scalars_did():
+    rng = np.random.default_rng(36)
+    n = 10
+    coeffs = np.concatenate((
+        rng.normal(size=4) * 10.0 ** rng.integers(-300, 300, size=4),
+        [0.1, 0.2, 0.3, -0.0, 1e16, -1e16],
+    ))
+    game = AdditiveValueFunction(coeffs)
+    for mask in range(1 << n):
+        s = Coalition(mask, n)
+        want = float(sum(game.a[j] for j in s))  # the former per-member numpy sum
+        got = game(s)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    with pytest.raises(ValueError):
+        game.a[0] = 1.0  # the coefficients are fixed once the game is built
+    coeffs[0] = 1.0  # and the caller's array is not theirs
+    assert game.a[0] != 1.0 and game(Coalition(1, n)) == game.a[0]
 
 
 def test_predicate_answers_weigh_as_their_truth_values():
