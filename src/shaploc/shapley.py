@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, compress, cycle, repeat
 from typing import Callable, Iterator, Protocol, runtime_checkable
 
@@ -47,6 +47,10 @@ class AdditiveValueFunction:
     Ignores the observation argument; useful for exercising the engine on a
     game whose Shapley values are known in closed form (they equal the
     coefficients).
+
+    ``a`` is a read-only copy of ``coeffs``, taken once: later edits to the
+    caller's array do not change the game, and ``a`` itself cannot be written,
+    because the scores add a Python-float snapshot of it.
     """
 
     def __init__(self, coeffs):
@@ -126,18 +130,14 @@ def _universe(n: int) -> tuple[Coalition, ...]:
     return tuple(Coalition._trusted_block(range(1 << n), n))
 
 
-def _kept_universe(n: int) -> tuple[Coalition, ...] | None:
-    return _universe(n) if 1 << n <= _KEPT_COALITIONS else None
-
-
 def _coalitions(n: int, skip: int | None = None) -> Iterator[Coalition]:
     """Every coalition of n sensors, or every one without sensor ``skip``, by increasing mask.
 
     A kept universe hands out its own objects.  Otherwise they are built a
     block at a time, and a block is dropped once consumed.
     """
-    kept = _kept_universe(n)
-    if kept is not None:
+    if 1 << n <= _KEPT_COALITIONS:
+        kept = _universe(n)
         if skip is None:
             return iter(kept)
         run = 1 << skip  # the masks alternate runs of 2^skip without and with bit skip
@@ -343,13 +343,12 @@ def sampled_shapley(
         val = _values(v, x).item
     else:
         cache: dict[int, float] = {0: 0.0}
-        kept = _kept_universe(n)
-        coalition = kept.__getitem__ if kept is not None else partial(Coalition._trusted, n=n)
+        trusted = Coalition._trusted
 
         def val(mask: int) -> float:
             got = cache.get(mask)
             if got is None:
-                got = cache[mask] = v(coalition(mask), x)
+                got = cache[mask] = v(trusted(mask, n), x)
             return got
 
     bit = 1 << i

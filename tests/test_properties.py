@@ -358,7 +358,6 @@ def test_kept_universe_and_blocks_give_the_same_bits(n, seed, share):
         for i in sensors:
             got.append(_outcome(exact_shapley, game, None, i))
             got.append(_outcome(truncated_shapley, game, None, i, keep))
-            got.append(_outcome(sampled_shapley, game, None, i, 7, np.random.default_rng([seed, i])))
         return got
 
     try:

@@ -360,9 +360,16 @@ def test_a_second_call_hands_out_the_same_objects():
     game.calls.clear()
     all_shapley(game, None)
     assert all(a is b for a, (b, _) in zip(first, game.calls))
-    game.calls.clear()
-    sampled_shapley(game, None, i, 20, np.random.default_rng(1))
-    assert game.calls and all(s is first[s.bits] for s, _ in game.calls)
+
+
+def test_a_memo_call_builds_no_universe():
+    import shaploc.shapley as shapley
+
+    n = 13  # a kept size: the few coalitions a memo call reaches are built alone
+    before = shapley._universe.cache_info()
+    game = random_table_game(n, np.random.default_rng(37))
+    assert np.isfinite(sampled_shapley(game, None, np.int64(4), 3, np.random.default_rng(4)))
+    assert shapley._universe.cache_info() == before
 
 
 def test_a_universe_above_the_limit_keeps_nothing():
