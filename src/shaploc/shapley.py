@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, compress, cycle, repeat
 from typing import Callable, Iterator, Protocol, runtime_checkable
 
@@ -72,7 +72,7 @@ class AdditiveValueFunction:
 @dataclass(frozen=True)
 class ShapleyResult:
     phi: np.ndarray        # one value per sensor
-    evaluations: int       # value-function calls made
+    evaluations: int       # coalitions scored into phi, 2^n
 
 
 def shapley_weight(s_card: int, n: int) -> float:
@@ -91,6 +91,10 @@ def shapley_weight(s_card: int, n: int) -> float:
 # misses 71-257 us, so the table costs less up to 2^n = 5600 to 27000 times
 # the permutations (BENCH_explain_table.json); this stays below all of them.
 _TABLE_PER_PERMUTATION = 1 << 12
+
+# sampled_shapley draws this many permutations per generator call; a block's
+# scratch is a few (rows, n) int64 arrays, 0.8 MiB each at n = 24
+_PERMUTATION_BLOCK = 1 << 12
 
 
 def _sensor(i, n: int) -> int:
@@ -156,15 +160,28 @@ def _coalitions(n: int, skip: int | None = None) -> Iterator[Coalition]:
     return chain.from_iterable(blocks())
 
 
+@lru_cache(maxsize=1)
+def _gaussian_table(model: GaussianModel, key: bytes) -> np.ndarray:
+    """The model's coalition values for the observation whose float64 bytes are ``key``."""
+    table = model.coalition_values(np.frombuffer(key)[None, :])[:, 0]
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
+
+
 def _values(v: ValueFunction, x) -> np.ndarray:
     """v(S, x) for every coalition S, indexed by bit mask.
 
     A Gaussian value function is scored by its model's chain-rule kernel;
-    any other takes one call per coalition.
+    any other takes one call per coalition.  In a universe small enough to
+    keep, the last Gaussian table is kept, read-only, so the exact,
+    truncated and sampled values of one observation score it once.
     """
     n = v.n
     if isinstance(v, GaussianValueFunction):
-        return v.model.coalition_values(check_observation(x, n)[None, :])[:, 0]
+        x = check_observation(x, n)
+        if 1 << n <= _KEPT_COALITIONS:
+            return _gaussian_table(v.model, x.tobytes())
+        return v.model.coalition_values(x[None, :])[:, 0]
     return np.fromiter(map(v, _coalitions(n), repeat(x)), float, 1 << n)
 
 
@@ -220,8 +237,7 @@ def gaussian_shapley_form(model: GaussianModel, i: int) -> tuple[float, np.ndarr
     moved last give every c_S; the kernel's residual recursion gives b_S.
     """
     n = model.n
-    if not 0 <= i < n:
-        raise ValueError(f"sensor index {i} out of range for n={n}")
+    i = _sensor(i, n)
     order = [j for j in range(n) if j != i] + [i]
     half_log_var, half_precision, gammas = GaussianModel(
         model.mean[order], model.cov[np.ix_(order, order)]
@@ -329,18 +345,22 @@ def sampled_shapley(
     """Unbiased permutation-sampling estimate of the Shapley value of i.
 
     Averages the marginal contribution of i over uniformly random sensor
-    orderings.  A Gaussian value function's scores are read from its 2^n
-    coalition table while that costs less than scoring the permutations'
-    coalitions one by one (the two agree bit for bit); otherwise coalition
-    values are memoized within the call.
+    orderings, drawn a block at a time; the generator shuffles each block's
+    rows as that many ``rng.permutation(n)`` calls would.  A Gaussian value
+    function's scores are read from its 2^n coalition table while that costs
+    less than scoring the permutations' coalitions one by one (the two agree
+    bit for bit); otherwise coalition values are memoized within the call.
     """
     n = v.n
     i = _sensor(i, n)
     permutations = operator.index(permutations)
     if permutations < 1:
         raise ValueError("need at least one permutation")
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
+    table = None
     if isinstance(v, GaussianValueFunction) and 1 << n <= _TABLE_PER_PERMUTATION * permutations:
-        val = _values(v, x).item
+        table = _values(v, x)
     else:
         cache: dict[int, float] = {0: 0.0}
         trusted = Coalition._trusted
@@ -352,12 +372,19 @@ def sampled_shapley(
             return got
 
     bit = 1 << i
+    # masks past int64 are summed as Python ints
+    powers = np.array([1 << j for j in range(n)], dtype=np.int64 if n < 63 else object)
     total = 0.0
-    for _ in range(permutations):
-        pred = 0
-        for j in rng.permutation(n).tolist():
-            if j == i:
-                break
-            pred |= 1 << j
-        total += val(pred | bit) - val(pred)
+    for lo in range(0, permutations, _PERMUTATION_BLOCK):
+        rows = min(_PERMUTATION_BLOCK, permutations - lo)
+        perms = rng.permuted(np.broadcast_to(np.arange(n), (rows, n)), axis=1)
+        before = np.cumsum(perms == i, axis=1) == 0  # the sensors ahead of i
+        preds = (powers[perms] * before).sum(axis=1)
+        if table is not None:
+            # added left to right as the memo loop adds; np.sum would change the bits
+            diffs = table[preds | bit] - table[preds]
+            total = reduce(operator.add, diffs.tolist(), total)
+        else:
+            for pred in preds.tolist():
+                total += val(pred | bit) - val(pred)
     return total / permutations

@@ -772,3 +772,260 @@ def test_form_rejects_bad_sensor():
     for i in (-1, 3):
         with pytest.raises(ValueError):
             gaussian_shapley_form(model, i)
+    for i in (1.0, np.float64(1.0), "1", None):
+        with pytest.raises(TypeError):
+            gaussian_shapley_form(model, i)
+    c, a = gaussian_shapley_form(model, np.int64(1))
+    want_c, want_a = gaussian_shapley_form(model, 1)
+    assert c == want_c and np.array_equal(a, want_a)
+
+
+# ----------------------------------------------------------------------
+# permutations drawn in blocks
+
+
+def loop_sampled(val, n, i, permutations, rng):
+    """The sampler as one loop: a rng.permutation(n) call and Python mask arithmetic each."""
+    bit = 1 << i
+    total = 0.0
+    for _ in range(permutations):
+        pred = 0
+        for j in rng.permutation(n).tolist():
+            if j == i:
+                break
+            pred |= 1 << j
+        total += val(pred | bit) - val(pred)
+    return total / permutations
+
+
+def memo(v, x, n):
+    """Coalition values scored through v once each, as the memo path scores them."""
+    cache = {0: 0.0}
+
+    def val(mask):
+        if mask not in cache:
+            cache[mask] = v(Coalition(mask, n), x)
+        return cache[mask]
+
+    return val
+
+
+class MaskRecorder:
+    """A value function that records the mask of every coalition it scores."""
+
+    def __init__(self, v):
+        self.v = v
+        self.n = v.n
+        self.masks = []
+
+    def __call__(self, s, x):
+        self.masks.append(s.bits)
+        return self.v(s, x)
+
+
+def random_model(n, rng):
+    a = rng.normal(size=(n, n))
+    return GaussianModel(rng.normal(size=n), a @ a.T / n + np.eye(n))
+
+
+def _same_draws(make_game, x, n, i, permutations, seed):
+    """Compare sampled_shapley with the loop on one game: bits, v calls and generator state."""
+    new_game, old_game = make_game(), make_game()
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sampled_shapley(new_game, x, i, permutations, new_rng)
+    if isinstance(old_game, GaussianValueFunction):
+        val = old_game.model.coalition_values(np.asarray(x)[None, :])[:, 0].item
+    else:
+        val = memo(old_game, x, n)
+    want = loop_sampled(val, n, i, permutations, old_rng)
+    assert type(got) is float and got.hex() == want.hex()
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+    if isinstance(new_game, MaskRecorder):
+        assert new_game.masks == old_game.masks
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["default", "3"])
+@pytest.mark.parametrize("game", ["table", "memo", "additive"])
+def test_sampled_draws_as_one_permutation_call_each(monkeypatch, block, game):
+    import shaploc.shapley as shapley
+
+    if block is not None:
+        monkeypatch.setattr(shapley, "_PERMUTATION_BLOCK", block)
+    rng = np.random.default_rng(40)
+    for n in range(1, 17):
+        model = random_model(n, rng)
+        x = model.sample(rng) + 1.0
+        if game == "table":
+            def make_game():
+                return GaussianValueFunction(model)
+        elif game == "memo":
+            def make_game():
+                return MaskRecorder(PlainValueFunction(GaussianValueFunction(model)))
+        else:
+            coeffs = rng.normal(size=n)
+
+            def make_game():
+                return MaskRecorder(AdditiveValueFunction(coeffs))
+        for i in sorted({0, n // 2, n - 1}):
+            for permutations in (1, 4, 17):  # 17: on the table up to n = 16
+                if game == "table" and permutations == 17:
+                    assert 1 << n <= shapley._TABLE_PER_PERMUTATION * permutations
+                _same_draws(make_game, x, n, i, permutations, [n, i, permutations])
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["default", "3"])
+def test_sampled_masks_past_int64_draw_as_one_permutation_call_each(monkeypatch, block):
+    import shaploc.shapley as shapley
+
+    if block is not None:
+        monkeypatch.setattr(shapley, "_PERMUTATION_BLOCK", block)
+    n = 70
+    coeffs = np.random.default_rng(41).normal(size=n)
+    seen = []
+
+    def make_game():
+        game = MaskRecorder(AdditiveValueFunction(coeffs))
+        seen.append(game)
+        return game
+
+    for i in (0, 40, n - 1):
+        _same_draws(make_game, None, n, i, 50, [n, i])
+    assert max(max(game.masks) for game in seen) >= 1 << 63
+
+
+def test_sampled_refuses_anything_but_a_generator_before_drawing():
+    game = RecordingGame(np.random.default_rng(42).normal(size=8))
+    legacy = np.random.RandomState(5)
+    state = legacy.get_state()
+    for rng in (legacy, None, np.random.default_rng(5).bit_generator, 5):
+        with pytest.raises(TypeError):
+            sampled_shapley(game, None, 1, 10, rng)
+    assert game.calls == []
+    got, want = legacy.get_state(), state
+    assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2:] == want[2:]
+
+
+def test_sampling_scratch_stays_within_one_block():
+    import tracemalloc
+
+    n = 5
+    vf = GaussianValueFunction(random_model(n, np.random.default_rng(43)))
+    x = np.ones(n)
+    sampled_shapley(vf, x, 2, 1, np.random.default_rng(1))  # factors and table, outside the count
+    rng = np.random.default_rng(2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = sampled_shapley(vf, x, 2, 10**6, rng)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # all 10^6 permutations at once would take about 40 MB per int64 array
+    assert math.isfinite(got)
+    assert peak <= 2 << 20
+
+
+# ----------------------------------------------------------------------
+# one coalition table per observation
+
+
+def _count_tables(monkeypatch):
+    calls = []
+    score = GaussianModel.coalition_values
+
+    def counted(self, xs):
+        calls.append(self)
+        return score(self, xs)
+
+    monkeypatch.setattr(GaussianModel, "coalition_values", counted)
+    return calls
+
+
+EXPLAINERS = {
+    "all": lambda vf, x: all_shapley(vf, x).phi,
+    "exact": lambda vf, x: exact_shapley(vf, x, 3),
+    "truncated": lambda vf, x: truncated_shapley(vf, x, 3, lambda s: len(s) <= 2),
+    "sampled": lambda vf, x: sampled_shapley(vf, x, 3, 200, np.random.default_rng(7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPLAINERS))
+def test_a_second_explanation_of_one_observation_reuses_its_table(monkeypatch, name):
+    calls = _count_tables(monkeypatch)
+    rng = np.random.default_rng(44)
+    model = random_model(14, rng)
+    vf, x = GaussianValueFunction(model), model.sample(rng)
+    first = EXPLAINERS[name](vf, x)
+    assert len(calls) == 1
+    for explain in EXPLAINERS.values():
+        explain(GaussianValueFunction(model), list(x))  # any wrapper, any equal x
+    assert np.array_equal(EXPLAINERS[name](vf, x.copy()), first)
+    assert len(calls) == 1
+    with pytest.raises(DimensionMismatchError):  # a kept table skips no check
+        EXPLAINERS[name](vf, x[:-1])
+    with pytest.raises(ValueError):
+        EXPLAINERS[name](vf, np.where(np.arange(14) == 2, np.nan, x))
+
+
+def test_a_new_observation_model_or_large_universe_scores_again(monkeypatch):
+    import shaploc.shapley as shapley
+
+    calls = _count_tables(monkeypatch)
+    rng = np.random.default_rng(45)
+    model = random_model(14, rng)
+    x = model.sample(rng)
+    all_shapley(GaussianValueFunction(model), x)
+    all_shapley(GaussianValueFunction(model), x + 1.0)
+    twin = GaussianModel(model.mean, model.cov)
+    all_shapley(GaussianValueFunction(twin), x + 1.0)
+    assert calls == [model, model, twin]
+
+    big = random_model(15, rng)
+    assert 1 << big.n > shapley._KEPT_COALITIONS
+    y = big.sample(rng)
+    for _ in range(2):
+        all_shapley(GaussianValueFunction(big), y)
+    assert calls[3:] == [big, big]
+
+
+def test_the_kept_table_is_read_only_and_follows_the_callers_edits():
+    import shaploc.shapley as shapley
+
+    rng = np.random.default_rng(46)
+    model = random_model(6, rng)
+    vf, x = GaussianValueFunction(model), model.sample(rng)
+    table = shapley._values(vf, x)
+    assert shapley._values(vf, x) is table
+    with pytest.raises(ValueError):
+        table[1] = 0.0
+    before = all_shapley(vf, x).phi
+    x[2] += 1.0  # the caller edits its observation in place
+    after = all_shapley(vf, x).phi
+    assert np.array_equal(after, shapley_from_values(model.coalition_values(x[None, :])[:, 0]))
+    assert not np.array_equal(after, before)
+
+
+def test_explanations_are_the_same_bits_without_the_kept_table(monkeypatch):
+    import shaploc.shapley as shapley
+
+    rng = np.random.default_rng(47)
+    cases = []
+    for n in range(1, 15):
+        model = random_model(n, rng)
+        cases.append((GaussianValueFunction(model), model.sample(rng) + 1.0))
+
+    def explain():
+        out = []
+        for vf, x in cases:
+            out.append(all_shapley(vf, x).phi)
+            for i in sorted({0, vf.n - 1}):
+                out.append(exact_shapley(vf, x, i))
+                out.append(truncated_shapley(vf, x, i, lambda s: len(s) <= 2))
+                out.append(sampled_shapley(vf, x, i, 50, np.random.default_rng(i)))
+        return np.hstack(out)
+
+    kept = explain()
+    monkeypatch.setattr(shapley, "_KEPT_COALITIONS", 0)
+    calls = _count_tables(monkeypatch)
+    assert np.array_equal(explain(), kept)
+    assert len(calls) > len(cases)  # every call scored its own table
