@@ -92,8 +92,10 @@ def shapley_weight(s_card: int, n: int) -> float:
 # the permutations (BENCH_explain_table.json); this stays below all of them.
 _TABLE_PER_PERMUTATION = 1 << 12
 
-# sampled_shapley draws this many permutations per generator call; a block's
-# scratch is a few (rows, n) int64 arrays, 0.8 MiB each at n = 24
+# sampled_shapley draws this many permutations per generator call, fewer
+# above 62 sensors so that a block holds at most _PERMUTATION_BLOCK * 62
+# entries at any n; its scratch is a few (rows, n) arrays of 8-byte
+# entries, at most 2 MiB each
 _PERMUTATION_BLOCK = 1 << 12
 
 
@@ -160,28 +162,38 @@ def _coalitions(n: int, skip: int | None = None) -> Iterator[Coalition]:
     return chain.from_iterable(blocks())
 
 
-@lru_cache(maxsize=1)
-def _gaussian_table(model: GaussianModel, key: bytes) -> np.ndarray:
-    """The model's coalition values for the observation whose float64 bytes are ``key``."""
-    table = model.coalition_values(np.frombuffer(key)[None, :])[:, 0]
-    table.setflags(write=False)  # shared by every caller through the cache
-    return table
+# the last Gaussian table scored in a universe small enough to keep, as
+# (model, observation bytes, read-only table); at most 128 KiB at n = 14
+_kept_table: tuple[GaussianModel, bytes, np.ndarray] | None = None
 
 
-def _values(v: ValueFunction, x) -> np.ndarray:
+def _values(v: ValueFunction, x, reuse: bool = False) -> np.ndarray:
     """v(S, x) for every coalition S, indexed by bit mask.
 
     A Gaussian value function is scored by its model's chain-rule kernel;
     any other takes one call per coalition.  In a universe small enough to
-    keep, the last Gaussian table is kept, read-only, so the exact,
-    truncated and sampled values of one observation score it once.
+    keep, every Gaussian table scored is kept read-only until the next, and
+    a ``reuse`` call on the same model and observation returns it instead
+    of scoring again.  So the truncated and sampled values that follow
+    all_shapley on one observation read its table.  all_shapley and
+    exact_shapley do not reuse: suite.bench times repeated calls on one
+    observation, and each must score.
     """
+    global _kept_table
     n = v.n
     if isinstance(v, GaussianValueFunction):
         x = check_observation(x, n)
-        if 1 << n <= _KEPT_COALITIONS:
-            return _gaussian_table(v.model, x.tobytes())
-        return v.model.coalition_values(x[None, :])[:, 0]
+        if 1 << n > _KEPT_COALITIONS:
+            return v.model.coalition_values(x[None, :])[:, 0]
+        key = x.tobytes()
+        kept = _kept_table
+        if reuse and kept is not None and kept[0] is v.model and kept[1] == key:
+            return kept[2]
+        _kept_table = None  # frees the old table first, so the new one can reuse its memory
+        table = v.model.coalition_values(x[None, :])[:, 0]
+        table.setflags(write=False)  # shared with later reuse calls
+        _kept_table = (v.model, key, table)
+        return table
     return np.fromiter(map(v, _coalitions(n), repeat(x)), float, 1 << n)
 
 
@@ -336,7 +348,7 @@ def truncated_shapley(
     mass = weights.sum()
     if mass == 0.0:
         raise EmptyKeptSetError("truncation predicate kept no coalition")
-    return float(_transform(_values(v, x), (i,), weights)[0] / mass)
+    return float(_transform(_values(v, x, reuse=True), (i,), weights)[0] / mass)
 
 
 def sampled_shapley(
@@ -360,7 +372,7 @@ def sampled_shapley(
         raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     table = None
     if isinstance(v, GaussianValueFunction) and 1 << n <= _TABLE_PER_PERMUTATION * permutations:
-        table = _values(v, x)
+        table = _values(v, x, reuse=True)
     else:
         cache: dict[int, float] = {0: 0.0}
         trusted = Coalition._trusted
@@ -375,11 +387,13 @@ def sampled_shapley(
     # masks past int64 are summed as Python ints
     powers = np.array([1 << j for j in range(n)], dtype=np.int64 if n < 63 else object)
     total = 0.0
-    for lo in range(0, permutations, _PERMUTATION_BLOCK):
-        rows = min(_PERMUTATION_BLOCK, permutations - lo)
+    block = max(1, _PERMUTATION_BLOCK * 62 // max(n, 62))
+    for lo in range(0, permutations, block):
+        rows = min(block, permutations - lo)
         perms = rng.permuted(np.broadcast_to(np.arange(n), (rows, n)), axis=1)
         before = np.cumsum(perms == i, axis=1) == 0  # the sensors ahead of i
-        preds = (powers[perms] * before).sum(axis=1)
+        # where, not a product, so the Python-int path makes no new ints per entry
+        preds = np.where(before, powers[perms], 0).sum(axis=1)
         if table is not None:
             # added left to right as the memo loop adds; np.sum would change the bits
             diffs = table[preds | bit] - table[preds]

