@@ -6,7 +6,7 @@ reproducible Monte Carlo harness comparing the error rate of thresholding
 the Shapley value against thresholding the single marginal term.
 """
 
-from .attacks import AttackSpec, apply_attack
+from .attacks import AttackSpec
 from .coalitions import Coalition
 from .gaussian import (
     DimensionMismatchError,
@@ -70,7 +70,6 @@ __all__ = [
     "ValueFunction",
     "all_shapley",
     "analytic_pe_gaussian",
-    "apply_attack",
     "bench",
     "binomial_ci",
     "check_observation",

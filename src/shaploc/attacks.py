@@ -32,6 +32,8 @@ class AttackSpec:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if not np.isfinite(self.am):
             raise ValueError("attack magnitude must be finite")
+        if not isinstance(self.targets, Coalition):
+            raise TypeError(f"attack targets must be a Coalition, got {type(self.targets).__name__}")
         if not self.targets:
             raise ValueError("attack must target at least one sensor")
         if self.kind == "B":
@@ -44,29 +46,6 @@ class AttackSpec:
                 raise ValueError("type-C attack requires a finite um >= 0")
         elif self.um is not None:
             raise ValueError(f"um only applies to type-C attacks, not {self.kind}")
-
-
-def apply_attack(
-    spec: AttackSpec, x, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Return a copy of ``x`` with the attack added on the target sensors.
-
-    The random kinds B and C need ``rng``: it draws one uniform per target
-    sensor, in increasing sensor order, and ``offsets_from_uniforms`` maps
-    them to offsets.  Kind A draws nothing.
-    """
-    y = np.array(x, dtype=float, copy=True)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation contains non-finite entries")
-    targets = list(spec.targets)
-    if spec.kind == "A":
-        u = np.zeros((1, len(targets)))
-    elif rng is None:
-        raise ValueError(f"type-{spec.kind} attack needs a random stream")
-    else:
-        u = rng.random((1, len(targets)))
-    y[targets] += offsets_from_uniforms(spec, u)[0]
-    return y
 
 
 def offsets_from_uniforms(spec: AttackSpec, u: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
@@ -21,9 +22,10 @@ class Coalition:
     n: int
 
     def __post_init__(self) -> None:
-        # accept numpy integers without letting them poison bit arithmetic
-        object.__setattr__(self, "bits", int(self.bits))
-        object.__setattr__(self, "n", int(self.n))
+        # accept numpy integers without letting them poison bit arithmetic,
+        # and refuse floats rather than truncate them
+        object.__setattr__(self, "bits", operator.index(self.bits))
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 0:
             raise ValueError(f"universe size must be non-negative, got {self.n}")
         if self.bits < 0 or self.bits >> self.n:
@@ -35,7 +37,7 @@ class Coalition:
     def of(cls, indices: Iterable[int], n: int) -> "Coalition":
         bits = 0
         for i in indices:
-            i = int(i)
+            i = operator.index(i)
             if not 0 <= i < n:
                 raise ValueError(f"sensor index {i} outside universe of size {n}")
             bits |= 1 << i

@@ -22,10 +22,6 @@ MAX_SENSORS = 24
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# observations per tile of the coalition-value kernel are chosen so each of
-# its two scratch buffers stays within this many doubles (cache-sized)
-_TILE_ELEMENTS = 1 << 18
-
 
 class NotPositiveDefiniteError(ValueError):
     """Covariance admits no Cholesky factorization (degenerate model)."""
@@ -43,16 +39,6 @@ def check_observation(values, n: int) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("observation contains non-finite entries")
     return x
-
-
-def _check_rows(xs, n: int) -> np.ndarray:
-    """Validate a batch of observations: shape (m, n), all entries finite."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != n:
-        raise DimensionMismatchError(f"observations have shape {xs.shape}, expected (m, {n})")
-    if not np.isfinite(xs).all():
-        raise ValueError("observations contain non-finite entries")
-    return xs
 
 
 class GaussianModel:
@@ -135,22 +121,23 @@ class GaussianModel:
         return self._mean + z @ self._chol.T
 
     # ------------------------------------------------------------------
-    # marginal densities
+    # anomaly score
 
-    def _score(self, s: Coalition, x) -> float:
-        """-ln f_S(x_S) for one observation ``x`` of all n sensors.
+    def value(self, s: Coalition, x) -> float:
+        """Anomaly score -ln f_S(x_S) for one observation ``x`` of all n sensors.
 
-        The chain rule runs along the members of S in increasing order with
-        exactly the arithmetic of ``_chain_factors`` and
-        ``coalition_values``, so a coalition scores the same bits either way.
+        Zero on the empty coalition.  Otherwise the chain rule runs along
+        the members of S in increasing order with exactly the arithmetic of
+        ``_chain_factors`` and ``coalition_values``, so a coalition scores
+        the same bits either way.
         """
+        if not s:
+            return 0.0
         d = (check_observation(x, self._n) - self._mean).tolist()
         if s.n != self._n:
             raise DimensionMismatchError(
                 f"coalition universe {s.n} does not match model with {self._n} sensors"
             )
-        if not s:
-            raise ValueError("marginal density of the empty coalition is undefined")
         idx = tuple(s)
         # lower triangle of the members' covariance, conditioned on each
         # member in turn; the kernel never reads the upper one either
@@ -170,10 +157,6 @@ class GaussianModel:
         for square, half_log_var in zip(squares, (0.5 * (_LOG_2PI + np.log(pivots))).tolist()):
             score = score + (square + half_log_var)
         return score
-
-    def marginal_log_density(self, s: Coalition, x) -> float:
-        """ln f_S(x_S) for the Gaussian marginal over the sensors in S."""
-        return -self._score(s, x)
 
     # ------------------------------------------------------------------
     # every coalition at once, by the chain rule
@@ -209,59 +192,43 @@ class GaussianModel:
             cond = np.concatenate((rest, rest - gamma[:, :, None] * cond[:, None, 1:, 0]))
         return half_log_var, half_precision, gammas
 
-    def coalition_values(self, xs) -> np.ndarray:
-        """Anomaly scores of every coalition for every observation.
+    def coalition_values(self, x) -> np.ndarray:
+        """Anomaly scores of every coalition for one observation.
 
-        ``xs`` has shape (m, n); the result has shape (2^n, m) and row
-        ``mask`` holds -ln f_S(x_S) for the coalition with that bit mask
-        (row 0, the empty coalition, is 0).  Every operation is elementwise
-        over observations, so a column's values do not depend on m.
+        ``x`` has shape (n,); the result has shape (2^n,) and entry ``mask``
+        holds -ln f_S(x_S) for the coalition with that bit mask (entry 0,
+        the empty coalition, is 0).
         """
-        xs = _check_rows(xs, self._n)
         n = self._n
-        m = xs.shape[0]
         half_log_var, half_precision, gammas = self._chain_factors
-        values = np.empty((1 << n, m))
-        d = (xs - self._mean).T
-        # a residual block takes at most 2^(n-1) * width doubles; two
-        # buffers take turns across steps and tiles
-        width = max(1, min(m, _TILE_ELEMENTS >> n))
-        buffers = np.empty((2, width << n >> 1))
-        for lo in range(0, m, width):
-            tile = values[:, lo : lo + width]
-            tile[0] = 0.0
-            # grow the residual block one sensor at a time: before step k,
-            # res[j - k, t] is the residual of sensor j >= k given mask t < 2^k;
-            # sensor k's residuals are parked in the rows of its coalitions
-            res = d[:, None, lo : lo + width].copy()
-            for k in range(n - 1):
-                half = 1 << k
-                own, rest = res[0], res[1:]
-                tile[half : 2 * half] = own
-                res = buffers[k % 2][: 2 * rest.size].reshape(n - k - 1, 2 * half, -1)
-                res[:, :half] = rest
-                new = res[:, half:]
-                np.multiply(gammas[k], own, out=new)
-                np.subtract(rest, new, out=new)
-            tile[1 << (n - 1) :] = res[0]
-            # then turn them into score terms, each added to the score of
-            # its coalition without the highest sensor
-            terms = tile[1:]
-            terms *= terms
-            terms *= half_precision[1:]
-            terms += half_log_var[1:]
-            for k in range(n):
-                tile[1 << k : 2 << k] += tile[: 1 << k]
-        return values
-
-    # ------------------------------------------------------------------
-    # anomaly score
-
-    def value(self, s: Coalition, x) -> float:
-        """Anomaly score -ln f_S(x_S); zero on the empty coalition."""
-        if not s:
-            return 0.0
-        return self._score(s, x)
+        # a trailing axis of length 1 lines the table up with the factors
+        values = np.empty((1 << n, 1))
+        values[0] = 0.0
+        # grow the residual block one sensor at a time: before step k,
+        # res[j - k, t] is the residual of sensor j >= k given mask t < 2^k;
+        # sensor k's residuals are parked in the rows of its coalitions.
+        # A block takes at most 2^(n-1) doubles, and two buffers take turns
+        res = (check_observation(x, n) - self._mean)[:, None, None]
+        buffers = np.empty((2, 1 << n >> 1))
+        for k in range(n - 1):
+            half = 1 << k
+            own, rest = res[0], res[1:]
+            values[half : 2 * half] = own
+            res = buffers[k % 2][: 2 * rest.size].reshape(n - k - 1, 2 * half, 1)
+            res[:, :half] = rest
+            new = res[:, half:]
+            np.multiply(gammas[k], own, out=new)
+            np.subtract(rest, new, out=new)
+        values[1 << (n - 1) :] = res[0]
+        # then turn them into score terms, each added to the score of its
+        # coalition without the highest sensor
+        terms = values[1:]
+        terms *= terms
+        terms *= half_precision[1:]
+        terms += half_log_var[1:]
+        for k in range(n):
+            values[1 << k : 2 << k] += values[: 1 << k]
+        return values[:, 0]
 
 
 class GaussianValueFunction:

@@ -182,15 +182,15 @@ def _values(v: ValueFunction, x, reuse: bool = False) -> np.ndarray:
     global _kept_table
     n = v.n
     if isinstance(v, GaussianValueFunction):
-        x = check_observation(x, n)
         if 1 << n > _KEPT_COALITIONS:
-            return v.model.coalition_values(x[None, :])[:, 0]
+            return v.model.coalition_values(x)
+        x = check_observation(x, n)
         key = x.tobytes()
         kept = _kept_table
         if reuse and kept is not None and kept[0] is v.model and kept[1] == key:
             return kept[2]
         _kept_table = None  # frees the old table first, so the new one can reuse its memory
-        table = v.model.coalition_values(x[None, :])[:, 0]
+        table = v.model.coalition_values(x)
         table.setflags(write=False)  # shared with later reuse calls
         _kept_table = (v.model, key, table)
         return table
@@ -271,20 +271,20 @@ def gaussian_shapley_form(model: GaussianModel, i: int) -> tuple[float, np.ndarr
     return float(weights @ half_log_var[last, 0]), form
 
 
-def _transform(column: np.ndarray, sensors, weights: np.ndarray) -> np.ndarray:
+def _transform(table: np.ndarray, sensors, weights: np.ndarray) -> np.ndarray:
     """Weighted sums of v(S + i) - v(S) over coalitions S excluding i.
 
-    ``column`` holds the 2^n coalition values of one observation;
+    ``table`` holds the 2^n coalition values of one observation;
     ``weights`` has one entry per excluded coalition in (n-1)-bit counting
     order.  Returns one sum per sensor in ``sensors``.
 
     The weighted differences fill one contiguous buffer, which numpy sums
     pairwise in an order fixed by its length 2^(n-1) alone.
     """
-    diffs = np.empty(column.size // 2)
+    diffs = np.empty(table.size // 2)
     phi = np.empty(len(sensors))
     for r, i in enumerate(sensors):
-        pairs = column.reshape(-1, 2, 1 << i)  # [higher bits, bit i, lower bits]
+        pairs = table.reshape(-1, 2, 1 << i)  # [higher bits, bit i, lower bits]
         np.subtract(pairs[:, 1], pairs[:, 0], out=diffs.reshape(-1, 1 << i))
         diffs *= weights
         phi[r] = np.add.reduce(diffs)
@@ -292,30 +292,21 @@ def _transform(column: np.ndarray, sensors, weights: np.ndarray) -> np.ndarray:
 
 
 def shapley_from_values(values, i: int | None = None) -> np.ndarray:
-    """Shapley values from a table of coalition values.
+    """Shapley values from one observation's table of coalition values.
 
-    ``values`` has shape (2^n,) or (2^n, m); row ``mask`` holds v(S) for the
-    coalition with that bit mask.  Returns phi of shape (n,) or (n, m), or
-    only sensor i's row when ``i`` is given.
+    ``values`` has shape (2^n,); entry ``mask`` holds v(S) for the coalition
+    with that bit mask.  Returns phi of shape (n,), or only sensor i's
+    value, of shape (), when ``i`` is given.
     """
     values = np.asarray(values, dtype=float)
-    size = values.shape[0] if values.ndim in (1, 2) else 0
-    n = size.bit_length() - 1
-    if n < 1 or size != 1 << n:
-        raise ValueError(f"values have shape {values.shape}, expected (2^n,) or (2^n, m)")
+    n = values.size.bit_length() - 1
+    if values.ndim != 1 or n < 1 or values.size != 1 << n:
+        raise ValueError(f"values have shape {values.shape}, expected (2^n,)")
     _check_universe(n)
-    if i is not None:
-        i = _sensor(i, n)
-    sensors = list(range(n)) if i is None else [i]
-    # one column at a time, so a column's phi does not depend on the others;
-    # a contiguous copy keeps each pass over a wide table's column in cache
-    table = values.reshape(size, -1)
-    weights = _pair_weights(n)
-    phi = np.empty((len(sensors), table.shape[1]))
-    for j in range(table.shape[1]):
-        phi[:, j] = _transform(np.ascontiguousarray(table[:, j]), sensors, weights)
-    shape = values.shape[1:] if i is not None else (n,) + values.shape[1:]
-    return phi.reshape(shape)
+    sensors = range(n) if i is None else (_sensor(i, n),)
+    # a strided table is copied once, so the n passes over it read contiguous memory
+    phi = _transform(np.ascontiguousarray(values), sensors, _pair_weights(n))
+    return phi if i is None else phi.reshape(())
 
 
 def exact_shapley(v: ValueFunction, x, i: int) -> float:

@@ -2,6 +2,7 @@ import copy
 import pickle
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 
 from shaploc import Coalition
@@ -28,6 +29,19 @@ def test_rejects_out_of_universe():
         Coalition(bits=0b1000, n=3)
     with pytest.raises(ValueError):
         Coalition.of([-1], 3)
+
+
+def test_rejects_non_integers_rather_than_truncate():
+    with pytest.raises(TypeError):
+        Coalition(1.7, 3)
+    with pytest.raises(TypeError):
+        Coalition(1, 2.5)
+    with pytest.raises(TypeError):
+        Coalition.of([0.9, 1.2], 2)
+    # numpy integers still work, and leave plain ints behind
+    s = Coalition(np.int64(5), np.int32(3))
+    assert s == Coalition.of([np.intp(0), np.int8(2)], 3) == Coalition(5, 3)
+    assert type(s.bits) is int and type(s.n) is int
 
 
 def test_membership_outside_universe_is_false():

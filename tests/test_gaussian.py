@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import multivariate_normal
 
 from shaploc import (
     Coalition,
@@ -109,48 +110,40 @@ def test_sample_covariance_within_four_se():
 
 
 # ----------------------------------------------------------------------
-# marginal log densities
+# log densities, as the negated score
 
 
 def test_standard_normal_at_mode():
     m = GaussianModel([0.0], [[1.0]])
-    got = m.marginal_log_density(Coalition.of([0], 1), [0.0])
+    got = -m.value(Coalition.of([0], 1), [0.0])
     assert got == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
 
 def test_independence_factorization():
     m = GaussianModel([1.0, -2.0], [[4, 0], [0, 9]])
     x = [0.3, 0.7]
-    joint = m.marginal_log_density(Coalition.of([0, 1], 2), x)
-    parts = sum(
-        m.marginal_log_density(Coalition.of([i], 2), x) for i in range(2)
-    )
+    joint = -m.value(Coalition.of([0, 1], 2), x)
+    parts = sum(-m.value(Coalition.of([i], 2), x) for i in range(2))
     assert joint == pytest.approx(parts, abs=1e-12)
 
 
 def test_correlated_joint_at_origin():
     m = biv(1.0, 1.0, 0.5)
-    got = m.marginal_log_density(Coalition.of([0, 1], 2), [0.0, 0.0])
+    got = -m.value(Coalition.of([0, 1], 2), [0.0, 0.0])
     assert got == pytest.approx(-math.log(2 * math.pi * math.sqrt(0.75)), abs=1e-12)
-
-
-def test_empty_coalition_density_rejected():
-    m = biv(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        m.marginal_log_density(Coalition(0, 2), [0.0, 0.0])
 
 
 def test_quadrature_marginalization_consistency():
     m = biv(1.3, 0.8, 0.6, mean=(0.5, -1.0))
 
     def joint(x1, x2):
-        return math.exp(m.marginal_log_density(Coalition.of([0, 1], 2), [x1, x2]))
+        return math.exp(-m.value(Coalition.of([0, 1], 2), [x1, x2]))
 
     s1 = Coalition.of([0], 2)
     lo, hi = -1.0 - 6 * 0.8, -1.0 + 6 * 0.8
     for x1 in np.linspace(0.5 - 2 * 1.3, 0.5 + 2 * 1.3, 10):
         integrated, _ = quad(lambda x2: joint(x1, x2), lo, hi)
-        direct = math.exp(m.marginal_log_density(s1, [x1, 0.0]))
+        direct = math.exp(-m.value(s1, [x1, 0.0]))
         assert integrated == pytest.approx(direct, rel=1e-6)
 
 
@@ -190,7 +183,7 @@ def test_value_monotone_in_density():
     s = Coalition.of([0, 1], 2)
     rng = np.random.default_rng(6)
     pts = rng.normal(scale=3.0, size=(30, 2))
-    dens = [m.marginal_log_density(s, p) for p in pts]
+    dens = multivariate_normal(m.mean, m.cov).logpdf(pts)
     vals = [m.value(s, p) for p in pts]
     for i in range(30):
         for j in range(30):
@@ -207,26 +200,20 @@ def random_spd(n, rng):
     return a @ a.T / n + np.eye(n)
 
 
-def scalar_values(m, xs):
-    """Oracle: one scalar marginal density per coalition and observation."""
-    n = m.n
-    out = np.zeros((1 << n, len(xs)))
-    for mask in range(1, 1 << n):
-        s = Coalition(mask, n)
-        out[mask] = [-m.marginal_log_density(s, x) for x in xs]
-    return out
+def scalar_values(m, x):
+    """Oracle: one scalar score per coalition of one observation."""
+    return np.array([m.value(Coalition(mask, m.n), x) for mask in range(1 << m.n)])
 
 
 def test_coalition_values_match_scalar_marginals():
     rng = np.random.default_rng(30)
     for n in range(1, 10):
         m = GaussianModel(rng.normal(scale=2.0, size=n), random_spd(n, rng))
-        xs = m.mean + 3.0 * rng.normal(size=(4, n))
-        got = m.coalition_values(xs)
-        want = scalar_values(m, xs)
-        assert got.shape == (1 << n, 4)
-        assert np.array_equal(got[0], np.zeros(4))
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        for x in m.mean + 3.0 * rng.normal(size=(4, n)):
+            got = m.coalition_values(x)
+            assert got.shape == (1 << n,)
+            assert got[0] == 0.0
+            assert np.allclose(got, scalar_values(m, x), rtol=1e-12, atol=0.0)
 
 
 def test_coalition_values_strongly_correlated_pair():
@@ -234,50 +221,29 @@ def test_coalition_values_strongly_correlated_pair():
         cov = np.diag([1.0, 2.0, 0.5])
         cov[0, 2] = cov[2, 0] = rho * math.sqrt(cov[0, 0] * cov[2, 2])
         m = GaussianModel([1.0, -2.0, 0.5], cov)
-        xs = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.0], [-0.5, -2.5, 2.0]])
-        assert np.allclose(m.coalition_values(xs), scalar_values(m, xs), rtol=1e-12, atol=0.0)
-
-
-def test_coalition_values_columns_do_not_depend_on_batch(monkeypatch):
-    import shaploc.gaussian as gaussian
-
-    rng = np.random.default_rng(31)
-    mean, cov = rng.normal(size=7), random_spd(7, rng)
-    xs = GaussianModel(mean, cov).sample(rng, size=100)
-    whole = GaussianModel(mean, cov).coalition_values(xs)
-    # tiles of 1..100 observations
-    for tile in (1 << 7, 1 << 10, 1 << 16):
-        monkeypatch.setattr(gaussian, "_TILE_ELEMENTS", tile)
-        m = GaussianModel(mean, cov)
-        assert np.array_equal(m.coalition_values(xs), whole)
-        assert np.array_equal(m.coalition_values(xs[37:38]), whole[:, 37:38])
-        assert np.array_equal(m.coalition_values(xs[:61]), whole[:, :61])
+        for x in ([1.0, -2.0, 0.5], [3.0, 0.0, -1.0], [-0.5, -2.5, 2.0]):
+            assert np.allclose(m.coalition_values(x), scalar_values(m, x), rtol=1e-12, atol=0.0)
 
 
 def test_one_coalition_scores_equal_the_table():
     rng = np.random.default_rng(32)
     m = GaussianModel(rng.normal(size=6), random_spd(6, rng))
-    xs = m.sample(rng, size=5) * 2.0
-    table = m.coalition_values(xs)
-    for mask in range(1, 1 << 6):
-        s = Coalition(mask, 6)
-        assert np.array_equal([m.value(s, x) for x in xs], table[mask])
+    for x in m.sample(rng, size=5) * 2.0:
+        assert np.array_equal(scalar_values(m, x), m.coalition_values(x))
 
 
 def test_batch_inputs_validated():
     m = biv(1.0, 1.0, 0.3)
-    for bad in (np.zeros(2), np.zeros((4, 3)), np.zeros((2, 4, 2))):
+    # one observation of shape (n,) only: a batch of one or more is refused
+    for bad in (np.zeros(3), np.zeros((1, 2)), np.zeros((4, 2)), np.zeros((0, 2)), np.zeros(())):
         with pytest.raises(DimensionMismatchError):
             m.coalition_values(bad)
-    assert m.coalition_values(np.zeros((0, 2))).shape == (4, 0)
-    xs = np.zeros((3, 2))
-    xs[1, 0] = np.nan
     with pytest.raises(ValueError):
-        m.coalition_values(xs)
+        m.coalition_values([np.nan, 0.0])
 
 
 def test_cached_marginal_still_checks_universe():
     m = GaussianModel(np.zeros(3), np.eye(3))
-    m.marginal_log_density(Coalition(1, 3), np.zeros(3))
+    m.value(Coalition(1, 3), np.zeros(3))
     with pytest.raises(DimensionMismatchError):
-        m.marginal_log_density(Coalition(1, 5), np.zeros(3))
+        m.value(Coalition(1, 5), np.zeros(3))

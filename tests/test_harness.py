@@ -372,7 +372,7 @@ def random_config(n, seed, sensor, trials):
 
 
 def test_experiment_never_scores_the_coalition_table(monkeypatch):
-    def refuse(self, xs):
+    def refuse(self, x):
         raise AssertionError("the harness built a coalition table")
 
     monkeypatch.setattr(GaussianModel, "coalition_values", refuse)
@@ -385,13 +385,14 @@ def test_chunk_scores_match_the_coalition_table():
         config = random_config(n, 15 + n, sensor, 300)
         for start, count in ((0, 300), (17, 1), (40, 64)):
             xs, _ = _trial_observations(config, start, count)
-            table = config.model.coalition_values(xs)
             phi, v, _ = _simulate_chunk(config, start, count)
-            # the single term runs the kernel's own arithmetic
-            assert np.array_equal(v, table[1 << sensor])
-            # the quadratic form sums the same terms in another order
-            scale = np.max(np.abs(table), axis=0)
-            assert np.all(np.abs(phi - shapley_from_values(table, sensor)) <= 1e-12 * scale)
+            for x, phi_x, v_x in zip(xs, phi, v):
+                table = config.model.coalition_values(x)
+                # the single term runs the kernel's own arithmetic
+                assert v_x == table[1 << sensor]
+                # the quadratic form sums the same terms in another order
+                scale = np.max(np.abs(table))
+                assert abs(phi_x - shapley_from_values(table, sensor)) <= 1e-12 * scale
 
 
 def reference_observations(config, start, count):

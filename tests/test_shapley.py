@@ -602,29 +602,29 @@ def test_sampled_validates_the_observation_on_both_paths():
 def test_transform_matches_brute_force_on_random_tables():
     rng = np.random.default_rng(20)
     for n in range(1, 8):
-        table = rng.normal(size=(1 << n, 3))
-        table[0] = 0.0
-        phi = shapley_from_values(table)
-        assert phi.shape == (n, 3)
-        for c in range(3):
-            game = TableGame(table[:, c])
+        for _ in range(3):
+            table = rng.normal(size=1 << n)
+            table[0] = 0.0
+            phi = shapley_from_values(table)
+            assert phi.shape == (n,)
+            game = TableGame(table)
             want = [brute_force_shapley(game, None, i, n) for i in range(n)]
-            assert np.allclose(phi[:, c], want, atol=1e-12)
-        i = int(rng.integers(n))
-        assert np.array_equal(shapley_from_values(table, i), phi[i])
-        assert shapley_from_values(table[:, 0]).shape == (n,)
+            assert np.allclose(phi, want, atol=1e-12)
+            i = int(rng.integers(n))
+            assert shapley_from_values(table, i).shape == ()
+            assert np.array_equal(shapley_from_values(table, i), phi[i])
 
 
-def test_transform_sums_do_not_depend_on_batch_or_block():
+def test_transform_of_a_strided_table_is_the_same_bits():
     rng = np.random.default_rng(21)
     for n in (1, 2, 9):
-        table = rng.normal(size=(1 << n, 40))
-        whole = shapley_from_values(table)
-        assert np.array_equal(shapley_from_values(table[:, ::3]), whole[:, ::3])
-        for i in sorted({0, n // 2, n - 1}):
-            assert np.array_equal(shapley_from_values(table[:, 5:6], i), whole[i, 5:6])
-            assert np.array_equal(shapley_from_values(table[:, 3:30], i), whole[i, 3:30])
-            assert np.array_equal(shapley_from_values(table[:, 7], i), whole[i, 7])
+        wide = rng.normal(size=(1 << n, 40))
+        for column in (wide[:, 7], wide[::-1, 3]):  # a column, and one read backwards
+            contiguous = column.copy()
+            assert not column.flags.c_contiguous
+            assert np.array_equal(shapley_from_values(column), shapley_from_values(contiguous))
+            for i in sorted({0, n // 2, n - 1}):
+                assert np.array_equal(shapley_from_values(column, i), shapley_from_values(contiguous, i))
 
 
 def test_transform_matches_an_exact_rational_sum():
@@ -647,7 +647,9 @@ def test_transform_matches_an_exact_rational_sum():
 
 
 def test_transform_rejects_bad_tables():
-    for bad in (np.zeros(1), np.zeros(6), np.zeros((2, 2, 2)), np.zeros(())):
+    # one observation's 1-D table only: a 2-D table of several is refused
+    for bad in (np.zeros(1), np.zeros(6), np.zeros((2, 2, 2)), np.zeros(()),
+                np.zeros((8, 1)), np.zeros((8, 3)), np.zeros((1, 8))):
         with pytest.raises(ValueError):
             shapley_from_values(bad)
     with pytest.raises(ValueError):
@@ -834,7 +836,7 @@ def _same_draws(make_game, x, n, i, permutations, seed):
     new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = sampled_shapley(new_game, x, i, permutations, new_rng)
     if isinstance(old_game, GaussianValueFunction):
-        val = old_game.model.coalition_values(np.asarray(x)[None, :])[:, 0].item
+        val = old_game.model.coalition_values(x).item
     else:
         val = memo(old_game, x, n)
     want = loop_sampled(val, n, i, permutations, old_rng)
@@ -957,9 +959,9 @@ def _count_tables(monkeypatch):
     calls = []
     score = GaussianModel.coalition_values
 
-    def counted(self, xs):
+    def counted(self, x):
         calls.append(self)
-        return score(self, xs)
+        return score(self, x)
 
     monkeypatch.setattr(GaussianModel, "coalition_values", counted)
     return calls
