@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .coalitions import Coalition
 
@@ -59,6 +58,8 @@ def offsets_from_uniforms(spec: AttackSpec, u: np.ndarray) -> np.ndarray:
     if spec.kind == "B":
         if spec.sigma_a == 0.0:
             return np.full_like(u, spec.am)
+        from scipy.special import ndtri  # on first use, as in harness._trial_observations
+
         z = ndtri(np.clip(u, 1e-300, 1.0))
         return spec.am + spec.sigma_a * z
     return spec.am + spec.um * u

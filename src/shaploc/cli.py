@@ -1,6 +1,7 @@
 """Command-line front end: run config files, table presets, or the bench.
 
-Exit codes: 0 on success, 1 on a config error, 2 on a runtime failure.
+Exit codes: 0 on success, 1 on a config error or an output path that
+cannot be written, 2 on a runtime failure.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from .suite import (
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="write output to this path")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument(
         "--format", choices=("csv", "markdown"), default=None,
         help="output format (default: csv, or the config file's choice)",
     )
-    common.add_argument("--out", default=None, help="write output to this path")
     common.add_argument(
         "--no-timestamp", action="store_true",
         help="omit the timestamp header line (byte-stable output)",
@@ -51,19 +53,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--seed", type=int, default=0)
 
     p_bench = sub.add_parser(
-        "bench", parents=[common], help="time full enumeration vs single-term"
+        "bench", parents=[output], help="time full enumeration vs single-term"
     )
     p_bench.add_argument("--max-n", type=int, default=18)
     p_bench.add_argument("--reps", type=int, default=2)
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, mode: str = "w") -> bool:
+    """Write ``text`` to ``out``, or to stdout when it is None.
+
+    Returns False, with one line on stderr, when ``out`` cannot be written.
+    Appending nothing (mode "a") checks ``out`` before a run and leaves an
+    existing file's contents in place.
+    """
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
+        return True
+    try:
+        with open(out, mode) as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -73,9 +86,10 @@ def main(argv=None) -> int:
         if args.max_n < 1 or args.max_n > 24:
             print("bench: --max-n must lie in 1..24", file=sys.stderr)
             return 1
+        if not _emit("", args.out, "a"):
+            return 1
         rows = bench(range(1, args.max_n + 1), reps=args.reps)
-        _emit(render_bench(rows), args.out)
-        return 0
+        return 0 if _emit(render_bench(rows), args.out) else 1
 
     try:
         if args.command == "run":
@@ -91,10 +105,11 @@ def main(argv=None) -> int:
     if args.format is not None:
         cfg = replace(cfg, fmt=args.format)
     out = args.out if args.out is not None else cfg.out
+    if not _emit("", out, "a"):
+        return 1
 
     status, rows = run_suite(cfg)
-    _emit(render_rows(cfg, rows, timestamp=not args.no_timestamp), out)
-    return status
+    return status if _emit(render_rows(cfg, rows, timestamp=not args.no_timestamp), out) else 1
 
 
 if __name__ == "__main__":

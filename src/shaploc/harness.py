@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .attacks import AttackSpec, offsets_from_uniforms
 from .gaussian import _LOG_2PI, GaussianModel
@@ -191,6 +190,10 @@ def _trial_observations(
     config: ExperimentConfig, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(observations, attacked labels) for trials start..start+count-1."""
+    # imported on first use: scipy.special takes longer to load than numpy
+    # and shaploc together, and the explanation API never calls it
+    from scipy.special import ndtri
+
     model = config.model
     n = model.n
     k, stride = _slot_count(config)
@@ -363,6 +366,7 @@ def analytic_pe_gaussian(sigma: float, am: float, attack_prior: float = 0.5) -> 
     p = attack_prior
     if not 0.0 < p < 1.0:
         raise ValueError("attack prior must lie strictly inside (0, 1)")
+    from scipy.special import ndtr
 
     def pe(t: float) -> float:
         false_alarm = 2.0 * (1.0 - ndtr(t / sigma))

@@ -92,11 +92,11 @@ def shapley_weight(s_card: int, n: int) -> float:
 # the permutations (BENCH_explain_table.json); this stays below all of them.
 _TABLE_PER_PERMUTATION = 1 << 12
 
-# sampled_shapley draws this many permutations per generator call, fewer
-# above 62 sensors so that a block holds at most _PERMUTATION_BLOCK * 62
-# entries at any n; its scratch is a few (rows, n) arrays of 8-byte
-# entries, at most 2 MiB each
+# sampled_shapley draws this many permutations per generator call; its
+# scratch is a few (rows, n) arrays of 8-byte entries, at most 2 MiB each
 _PERMUTATION_BLOCK = 1 << 12
+# and sums coalition masks as int64, so it samples at most this many sensors
+MAX_SAMPLED_SENSORS = 62
 
 
 def _sensor(i, n: int) -> int:
@@ -353,8 +353,12 @@ def sampled_shapley(
     function's scores are read from its 2^n coalition table while that costs
     less than scoring the permutations' coalitions one by one (the two agree
     bit for bit); otherwise coalition values are memoized within the call.
+    Coalitions are summed as int64 masks, so n is at most
+    ``MAX_SAMPLED_SENSORS``.
     """
     n = v.n
+    if n > MAX_SAMPLED_SENSORS:
+        raise ValueError(f"sampled_shapley refuses n={n} > {MAX_SAMPLED_SENSORS}")
     i = _sensor(i, n)
     permutations = operator.index(permutations)
     if permutations < 1:
@@ -375,15 +379,12 @@ def sampled_shapley(
             return got
 
     bit = 1 << i
-    # masks past int64 are summed as Python ints
-    powers = np.array([1 << j for j in range(n)], dtype=np.int64 if n < 63 else object)
+    powers = 1 << np.arange(n, dtype=np.int64)
     total = 0.0
-    block = max(1, _PERMUTATION_BLOCK * 62 // max(n, 62))
-    for lo in range(0, permutations, block):
-        rows = min(block, permutations - lo)
+    for lo in range(0, permutations, _PERMUTATION_BLOCK):
+        rows = min(_PERMUTATION_BLOCK, permutations - lo)
         perms = rng.permuted(np.broadcast_to(np.arange(n), (rows, n)), axis=1)
         before = np.cumsum(perms == i, axis=1) == 0  # the sensors ahead of i
-        # where, not a product, so the Python-int path makes no new ints per entry
         preds = np.where(before, powers[perms], 0).sum(axis=1)
         if table is not None:
             # added left to right as the memo loop adds; np.sum would change the bits

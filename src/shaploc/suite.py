@@ -13,8 +13,10 @@ import csv
 import gc
 import io
 import math
+import operator
 import time
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -38,6 +40,14 @@ COLUMNS = (
 
 class ConfigError(ValueError):
     """Config file could not be parsed or validated."""
+
+
+def _integer(key: str, value) -> int:
+    """``value`` as a Python int, or a ConfigError naming ``key``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{key}: must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,17 @@ class ExperimentSpec:
     threshold_mode: GridSpec | str = "exact"
 
     def __post_init__(self) -> None:
+        for key in ("trials", "sensor_under_test"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        try:
+            targets = tuple(self.targets)
+        except TypeError:
+            raise ConfigError(f"targets: not a sensor list: {self.targets!r}") from None
+        object.__setattr__(self, "targets", tuple(_integer("targets", t) for t in targets))
+        for key in ("am", "rho", "sigma1", "sigma2", "mu1", "mu2", "attack_prior"):
+            value = getattr(self, key)
+            if not (isinstance(value, Real) and math.isfinite(value)):
+                raise ConfigError(f"{key}: must be a finite number, got {value!r}")
         if not abs(self.rho) < 1:
             raise ConfigError("rho: correlation out of range (need |rho| < 1)")
         for key in ("sigma1", "sigma2"):
@@ -76,7 +97,7 @@ class ExperimentSpec:
         # AttackSpec re-validates; surface its message under the field name
         try:
             self.attack()
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
         if self.trials < 1:
             raise ConfigError("trials: must be at least 1")

@@ -1,3 +1,6 @@
+import pytest
+
+import shaploc.cli
 from shaploc.cli import main
 
 GOOD = """\
@@ -122,3 +125,56 @@ def test_bench_small(capsys):
 
 def test_bench_bad_max_n(capsys):
     assert main(["bench", "--max-n", "0"]) == 1
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran although the output path cannot be written")
+
+
+@pytest.mark.parametrize("command", ["preset", "run", "run-config-out", "bench"])
+def test_unwritable_out_is_refused_before_the_run(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(shaploc.cli, "run_suite", _must_not_run)
+    monkeypatch.setattr(shaploc.cli, "bench", _must_not_run)
+    out = tmp_path / "missing" / "x.csv"
+    cfg = tmp_path / "suite.ini"
+    cfg.write_text(GOOD)
+    argv = {
+        "preset": ["preset", "table2", "--trials", "200000", "--out", str(out)],
+        "run": ["run", str(cfg), "--out", str(out)],
+        "run-config-out": ["run", str(cfg)],
+        "bench": ["bench", "--max-n", "3", "--out", str(out)],
+    }[command]
+    if command == "run-config-out":
+        cfg.write_text(GOOD.replace("seed = 3\n", f"seed = 3\nout = {out}\n"))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}")
+    assert captured.err.count("\n") == 1
+    assert not out.parent.exists()
+
+
+def test_an_existing_out_keeps_its_contents_until_the_output_replaces_them(tmp_path, monkeypatch):
+    out = tmp_path / "results.csv"
+    out.write_text("old\n")
+    seen = []
+    run_suite = shaploc.cli.run_suite
+
+    def watch(cfg):
+        seen.append(out.read_text())
+        return run_suite(cfg)
+
+    monkeypatch.setattr(shaploc.cli, "run_suite", watch)
+    cfg = tmp_path / "suite.ini"
+    cfg.write_text(GOOD)
+    assert main(["run", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
+    assert seen == ["old\n"]
+    assert out.read_text().startswith("# shaploc suite, seed=3\n")
+
+
+@pytest.mark.parametrize("option", [["--format", "markdown"], ["--no-timestamp"]])
+def test_bench_refuses_suite_output_options(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--max-n", "3", *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

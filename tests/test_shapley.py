@@ -875,24 +875,18 @@ def test_sampled_draws_as_one_permutation_call_each(monkeypatch, block, game):
                 _same_draws(make_game, x, n, i, permutations, [n, i, permutations])
 
 
-@pytest.mark.parametrize("block", [None, 3], ids=["default", "3"])
-def test_sampled_masks_past_int64_draw_as_one_permutation_call_each(monkeypatch, block):
-    import shaploc.shapley as shapley
-
-    if block is not None:
-        monkeypatch.setattr(shapley, "_PERMUTATION_BLOCK", block)
-    n = 70
-    coeffs = np.random.default_rng(41).normal(size=n)
-    seen = []
-
-    def make_game():
-        game = MaskRecorder(AdditiveValueFunction(coeffs))
-        seen.append(game)
-        return game
-
-    for i in (0, 40, n - 1):
-        _same_draws(make_game, None, n, i, 50, [n, i])
-    assert max(max(game.masks) for game in seen) >= 1 << 63
+def test_sampled_refuses_more_than_62_sensors_before_drawing():
+    coeffs = np.random.default_rng(41).normal(size=63)
+    # at 62 sensors the masks still fit int64, and draw as the loop draws them
+    for i in (0, 40, 61):
+        _same_draws(lambda: MaskRecorder(AdditiveValueFunction(coeffs[:62])), None, 62, i, 50, [62, i])
+    game = MaskRecorder(AdditiveValueFunction(coeffs))
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n=63"):
+        sampled_shapley(game, None, 0, 10, rng)
+    assert game.masks == []
+    assert rng.bit_generator.state == state
 
 
 def test_sampled_refuses_anything_but_a_generator_before_drawing():
@@ -925,30 +919,6 @@ def test_sampling_scratch_stays_within_one_block():
     # all 10^6 permutations at once would take about 40 MB per int64 array
     assert math.isfinite(got)
     assert peak <= 2 << 20
-
-
-def test_sampling_scratch_past_int64_stays_within_one_bounded_block():
-    import tracemalloc
-
-    class Popcount:
-        n = 1000
-
-        def __call__(self, s, x):
-            return float(s.bits.bit_count())
-
-    game = Popcount()
-    sampled_shapley(game, None, 0, 1, np.random.default_rng(1))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        got = sampled_shapley(game, None, 7, 1000, np.random.default_rng(2))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # 1000 rows of 1000 Python-int masks took about 24 MiB, or 70 MiB
-    # with a new int per entry; a block of 253 rows takes about 6.6 MiB
-    assert got == 1.0  # every marginal of a popcount game is 1
-    assert peak <= 8 << 20
 
 
 # ----------------------------------------------------------------------

@@ -111,6 +111,32 @@ def test_grid_bounds_must_be_finite(tmp_path, bounds):
         parse_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("trials", 1000.5),
+    ("sensor_under_test", 1.0),
+    ("targets", (1.0,)),
+    ("am", float("nan")),
+    ("rho", float("nan")),
+    ("sigma1", float("nan")),
+    ("sigma2", float("inf")),
+    ("mu1", float("inf")),
+    ("mu2", float("-inf")),
+    ("attack_prior", "0.5"),
+])
+def test_spec_refuses_values_it_cannot_run(field, value):
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        ExperimentSpec(**{"attack_type": "A", "am": 1.0, field: value})
+
+
+def test_spec_reads_integer_fields_as_python_ints():
+    spec = ExperimentSpec(
+        attack_type="A", am=1.0, trials=np.int64(50), sensor_under_test=np.int8(2),
+        targets=[np.int64(2)],
+    )
+    assert (spec.trials, spec.sensor_under_test, spec.targets) == (50, 2, (2,))
+    assert type(spec.trials) is int and type(spec.targets[0]) is int
+
+
 def test_duplicate_names_rejected():
     spec = ExperimentSpec(attack_type="A", am=1.0)
     with pytest.raises(ConfigError, match="unique"):
