@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,18 +52,6 @@ class Coalition:
         _set_bits(s, bits)
         _set_n(s, n)
         return s
-
-    @classmethod
-    def _trusted_block(cls, masks: Sequence[int], n: int) -> list["Coalition"]:
-        """``_trusted(mask, n)`` for each of ``masks``, built in bulk.
-
-        ``map`` makes the objects and fills their slots without running a
-        Python frame per coalition.
-        """
-        block = list(map(object.__new__, repeat(cls, len(masks))))
-        deque(map(_set_bits, block, masks), 0)
-        deque(map(_set_n, block, repeat(n)), 0)
-        return block
 
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.n and bool((self.bits >> i) & 1)

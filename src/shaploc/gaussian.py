@@ -16,8 +16,8 @@ import numpy as np
 
 from .coalitions import Coalition
 
-# Exact coalition enumeration is capped well below anything a desk machine
-# can chew through; the model shares the cap so its factor tables stay bounded.
+# the most sensors a model takes, and the most the Shapley engine enumerates
+# exactly: 2^24 coalitions, so the factor tables and coalition tables stay bounded
 MAX_SENSORS = 24
 
 _LOG_2PI = math.log(2.0 * math.pi)

@@ -257,12 +257,9 @@ def _simulate_chunk(
     return phi, 0.0 + (d[i] * d[i] * half_precision + half_log_var), attacked
 
 
-def simulate_scores(
-    config: ExperimentConfig, chunk: int = _TRIAL_CHUNK
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def simulate_scores(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All trial scores and labels, computed in deterministic chunks."""
-    if chunk < 1:
-        raise ValueError("chunk must hold at least one trial")
+    chunk = _TRIAL_CHUNK
     m = config.trials
     phi, v, labels = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
     # build the form here, so the workers find it cached

@@ -13,15 +13,13 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, compress, cycle, repeat
+from itertools import compress, cycle, repeat
 from typing import Callable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
 from .coalitions import Coalition
-from .gaussian import GaussianModel, GaussianValueFunction, check_observation
-
-MAX_EXACT_SENSORS = 24
+from .gaussian import MAX_SENSORS, GaussianModel, GaussianValueFunction, check_observation
 
 
 class UniverseTooLargeError(ValueError):
@@ -108,23 +106,13 @@ def _sensor(i, n: int) -> int:
 
 
 def _check_universe(n: int) -> None:
-    if n > MAX_EXACT_SENSORS:
-        raise UniverseTooLargeError(
-            f"exact enumeration refuses n={n} > {MAX_EXACT_SENSORS}"
-        )
+    if n > MAX_SENSORS:
+        raise UniverseTooLargeError(f"exact enumeration refuses n={n} > {MAX_SENSORS}")
 
-
-# in a universe too large to keep (below), the coalitions handed to a value
-# function or a predicate are built this many at a time, so the engine's
-# scratch for them is one block at any n.
-# A block stays below the collector's default threshold of 700 live new
-# objects: at 2^10 and 2^11 each truncated_shapley call at n = 14 ran seven
-# young collections and took about 4% longer.
-_COALITION_BLOCK = 1 << 9
 
 # a universe of at most this many coalitions builds them once per process
 # and keeps them, about 90 bytes each: 1.4 MiB at n = 14, 2.8 MiB for every
-# n up to 14.  Larger universes build theirs a block at a time on each call,
+# n up to 14.  Larger universes build each coalition as it is handed out,
 # since keeping all 2^24 would take about 1.4 GiB.  Coalitions are frozen,
 # so every caller can share them.
 _KEPT_COALITIONS = 1 << 14
@@ -133,14 +121,14 @@ _KEPT_COALITIONS = 1 << 14
 @lru_cache(maxsize=None)
 def _universe(n: int) -> tuple[Coalition, ...]:
     """Every coalition of n sensors, indexed by bit mask; built once per n."""
-    return tuple(Coalition._trusted_block(range(1 << n), n))
+    return tuple(map(Coalition._trusted, range(1 << n), repeat(n)))
 
 
 def _coalitions(n: int, skip: int | None = None) -> Iterator[Coalition]:
     """Every coalition of n sensors, or every one without sensor ``skip``, by increasing mask.
 
-    A kept universe hands out its own objects.  Otherwise they are built a
-    block at a time, and a block is dropped once consumed.
+    A kept universe hands out its own objects; a larger one builds each
+    coalition as it is handed out and keeps none.
     """
     if 1 << n <= _KEPT_COALITIONS:
         kept = _universe(n)
@@ -148,18 +136,14 @@ def _coalitions(n: int, skip: int | None = None) -> Iterator[Coalition]:
             return iter(kept)
         run = 1 << skip  # the masks alternate runs of 2^skip without and with bit skip
         return compress(kept, cycle((True,) * run + (False,) * run))
-
-    count = 1 << n if skip is None else 1 << (n - 1)
-
-    def blocks():
-        for lo in range(0, count, _COALITION_BLOCK):
-            masks = range(lo, min(lo + _COALITION_BLOCK, count))
-            if skip is not None:  # spread each (n-1)-bit mask around bit skip
-                sub = np.arange(masks.start, masks.stop)
-                masks = (((sub >> skip) << (skip + 1)) | (sub & ((1 << skip) - 1))).tolist()
-            yield Coalition._trusted_block(masks, n)
-
-    return chain.from_iterable(blocks())
+    if skip is None:
+        masks = range(1 << n)
+    else:
+        # mask m of the other n-1 sensors, spread around bit skip, is
+        # m + (m & -2^skip); a cycled pattern would hold 2^(skip+1) entries
+        others = range(1 << (n - 1))
+        masks = map(operator.add, others, map(operator.and_, others, repeat(-1 << skip)))
+    return map(Coalition._trusted, masks, repeat(n))
 
 
 # the last Gaussian table scored in a universe small enough to keep, as

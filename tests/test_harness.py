@@ -18,6 +18,7 @@ from shaploc import (
     shapley_from_values,
     simulate_scores,
 )
+from shaploc import harness
 from shaploc.attacks import offsets_from_uniforms
 from shaploc.harness import (
     _optimize_exact,
@@ -275,7 +276,7 @@ def test_trial_determinism():
         assert np.array_equal(x, y)
 
 
-def test_trial_matches_chunked_simulation():
+def test_trial_matches_chunked_simulation(monkeypatch):
     rng = np.random.default_rng(12)
     n = 10
     a = rng.normal(size=(n, n))
@@ -287,7 +288,11 @@ def test_trial_matches_chunked_simulation():
     )
     for config in configs:
         # one-trial chunks score the same bits as the default chunk
-        for x, y in zip(simulate_scores(config, chunk=1), simulate_scores(config)):
+        want = simulate_scores(config)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_TRIAL_CHUNK", 1)
+            got = simulate_scores(config)
+        for x, y in zip(got, want):
             assert np.array_equal(x, y)
 
 
@@ -345,10 +350,12 @@ def test_grid_mode_experiment():
     assert single.pe == pytest.approx(exact[1].pe, abs=1e-3)
 
 
-def test_experiment_deterministic_across_chunkings():
+def test_experiment_deterministic_across_chunkings(monkeypatch):
     config = two_sensor_config(trials=4096, seed=10, rho=-0.4, am=1.0)
-    a = simulate_scores(config, chunk=1024)
-    b = simulate_scores(config, chunk=4096)
+    monkeypatch.setattr(harness, "_TRIAL_CHUNK", 1024)
+    a = simulate_scores(config)
+    monkeypatch.setattr(harness, "_TRIAL_CHUNK", 4096)
+    b = simulate_scores(config)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
@@ -452,9 +459,3 @@ def test_linear_statistic_reaches_the_bayes_error_on_table2():
         exact = float(ndtr(-0.5 * math.sqrt(shift @ w)))
         se = math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(pe - exact) <= 5 * se, (name, pe, exact)
-
-
-def test_chunk_size_must_be_positive():
-    config = two_sensor_config(trials=10)
-    with pytest.raises(ValueError):
-        simulate_scores(config, chunk=0)

@@ -81,7 +81,9 @@ def test_more_workers_than_cores_and_fast_switching_give_the_same_bits(monkeypat
         monkeypatch.setattr(harness, "_POOL", many)
         sys.setswitchinterval(1e-6)
         try:
-            got_scores = simulate_scores(config, chunk=997)
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "_TRIAL_CHUNK", 997)
+                got_scores = simulate_scores(config)
             got = run_experiment(config)
         finally:
             sys.setswitchinterval(interval)

@@ -24,6 +24,7 @@ from shaploc import (  # noqa: E402
     simulate_scores,
     truncated_shapley,
 )
+from shaploc import harness  # noqa: E402
 from shaploc.harness import _COUNT_BLOCK, _optimize_exact, _optimize_grid  # noqa: E402
 from shaploc.shapley import (  # noqa: E402
     _TABLE_PER_PERMUTATION,
@@ -144,6 +145,8 @@ def test_sampled_table_path_equals_memo_path(drawn, data):
 
 @given(correlated_models(), st.data())
 def test_scores_do_not_depend_on_the_chunk(drawn, data):
+    from unittest import mock
+
     model, _ = drawn
     n = model.n
     targets = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
@@ -159,7 +162,8 @@ def test_scores_do_not_depend_on_the_chunk(drawn, data):
         trials=trials, seed=data.draw(st.integers(0, 2**128 - 1)),
     )
     whole = simulate_scores(config)
-    chunked = simulate_scores(config, chunk=data.draw(st.integers(1, trials)))
+    with mock.patch.object(harness, "_TRIAL_CHUNK", data.draw(st.integers(1, trials))):
+        chunked = simulate_scores(config)
     assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
 

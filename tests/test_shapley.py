@@ -293,20 +293,21 @@ def _check_arguments(seen, masks, n):
         assert type(s) is Coalition and s == want and hash(s) == hash(want) and s.n == n
 
 
-@pytest.mark.parametrize(
-    "kept, block", [(False, None), (False, 300), (True, None)], ids=["None", "300", "kept"]
-)
-def test_each_coalition_is_handed_over_once_in_mask_order(monkeypatch, kept, block):
+@pytest.fixture(params=["kept", "streamed"])
+def universe(request, monkeypatch):
+    """Coalitions from the kept universe, or streamed as every universe above its limit is."""
+    import shaploc.shapley as shapley
+
+    if request.param == "streamed":
+        monkeypatch.setattr(shapley, "_KEPT_COALITIONS", 0)
+    return request.param
+
+
+def test_each_coalition_is_handed_over_once_in_mask_order(universe):
     import shaploc.shapley as shapley
 
     n, i = 14, 5
-    if kept:
-        assert 1 << n <= shapley._KEPT_COALITIONS
-    else:  # built in blocks, as every n above the limit is
-        monkeypatch.setattr(shapley, "_KEPT_COALITIONS", 0)
-        if block is not None:  # a block that does not divide the coalition count
-            monkeypatch.setattr(shapley, "_COALITION_BLOCK", block)
-        assert shapley._COALITION_BLOCK < 1 << (n - 1)
+    assert (1 << n <= shapley._KEPT_COALITIONS) == (universe == "kept")
     game = RecordingGame(np.random.default_rng(30).normal(size=1 << n))
     x = object()
     seen = []
@@ -335,12 +336,9 @@ def test_a_kept_universe_holds_every_coalition_by_mask():
         assert shapley._universe(n) is kept
 
 
-@pytest.mark.parametrize("path", ["kept", "blocks"])
-def test_every_skip_yields_its_masks_in_order(monkeypatch, path):
+def test_every_skip_yields_its_masks_in_order(universe):
     import shaploc.shapley as shapley
 
-    if path == "blocks":
-        monkeypatch.setattr(shapley, "_KEPT_COALITIONS", 0)
     for n in range(1, 15):
         assert [s.bits for s in shapley._coalitions(n)] == list(range(1 << n))
         for skip in range(n):
@@ -388,6 +386,31 @@ def test_a_universe_above_the_limit_keeps_nothing():
     assert not any(a is b for a, b in zip(*seen))  # each call built its own
 
 
+@pytest.mark.parametrize("i", [0, 17])
+def test_a_streamed_universe_holds_one_coalition_at_a_time(i):
+    import tracemalloc
+
+    n = 18
+    game = AdditiveValueFunction(np.ones(n))  # never called: keep rejects every coalition
+    calls, most = [0], [0]  # each update frees the int it replaces
+
+    def keep(s):
+        calls[0] += 1
+        most[0] = max(most[0], tracemalloc.get_traced_memory()[0])
+        return False
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(EmptyKeptSetError):
+            truncated_shapley(game, None, i, keep)
+    finally:
+        tracemalloc.stop()
+    assert calls[0] == 1 << (n - 1)
+    # the answers' array, one byte per coalition, and a few small objects
+    assert most[0] - base <= (1 << (n - 1)) + (8 << 10)
+
+
 def test_the_kept_universe_of_14_sensors_takes_at_most_2_mib():
     import tracemalloc
 
@@ -405,12 +428,7 @@ def test_the_kept_universe_of_14_sensors_takes_at_most_2_mib():
     assert size <= 2 << 20
 
 
-@pytest.mark.parametrize("path", ["kept", "blocks"])
-def test_a_numpy_integer_sensor_index_works_on_a_generic_game(monkeypatch, path):
-    import shaploc.shapley as shapley
-
-    if path == "blocks":
-        monkeypatch.setattr(shapley, "_KEPT_COALITIONS", 0)
+def test_a_numpy_integer_sensor_index_works_on_a_generic_game(universe):
     game = AdditiveValueFunction([1.0, 2.0, 3.0])
     for i in (np.int64(1), np.int32(1), np.intp(1)):
         assert sampled_shapley(game, None, i, 5, np.random.default_rng(3)) == 2.0
