@@ -52,13 +52,13 @@ def offsets_from_uniforms(spec: AttackSpec, u: np.ndarray) -> np.ndarray:
 
     Inverse-CDF mapping so the Monte Carlo harness can budget exactly one
     uniform per target per trial.  Shape of ``u`` is (trials, #targets).
+    A constant offset comes back as a read-only broadcast of ``am``; no
+    result shares memory with ``u``.
     """
-    if spec.kind == "A":
-        return np.full_like(u, spec.am)
+    if spec.kind == "A" or (spec.kind == "B" and spec.sigma_a == 0.0):
+        return np.broadcast_to(np.asarray(spec.am, u.dtype), u.shape)
     if spec.kind == "B":
-        if spec.sigma_a == 0.0:
-            return np.full_like(u, spec.am)
-        from scipy.special import ndtri  # on first use, as in harness._trial_observations
+        from scipy.special import ndtri  # on first use, as in harness._chunk_observations
 
         z = ndtri(np.clip(u, 1e-300, 1.0))
         return spec.am + spec.sigma_a * z

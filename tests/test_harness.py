@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -400,6 +401,46 @@ def test_chunk_scores_match_the_coalition_table():
                 # the quadratic form sums the same terms in another order
                 scale = np.max(np.abs(table))
                 assert abs(phi_x - shapley_from_values(table, sensor)) <= 1e-12 * scale
+
+
+def kind_config(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    model = GaussianModel(rng.normal(size=n), a @ a.T / n + 0.5 * np.eye(n))
+    attack = AttackSpec(
+        kind=kind, am=1.5, targets=Coalition.of(sorted({0, n - 1}), n),
+        sigma_a=0.5 if kind == "B" else None, um=2.0 if kind == "C" else None,
+    )
+    return ExperimentConfig(
+        model=model, attack=attack, sensor_under_test=n // 2, trials=400, seed=seed
+    )
+
+
+def on_a_fresh_thread(fn, *args):
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn(*args)))
+    worker.start()
+    worker.join()
+    return result[0]
+
+
+def test_chunk_results_never_share_the_threads_kept_scratch():
+    # one thread simulates chunks of wide and narrow models back to back:
+    # every result equals a fresh thread's, and later chunks leave it alone
+    results = []
+    for n in (10, 2, 14, 1):
+        for kind in ("A", "B", "C"):
+            config = kind_config(n, kind, 60 + n)
+            for count in (300, 1, 64):
+                for fn in (_simulate_chunk, _trial_observations):
+                    got = fn(config, 3, count)
+                    assert all(
+                        np.array_equal(a, b)
+                        for a, b in zip(got, on_a_fresh_thread(fn, config, 3, count))
+                    ), (n, kind, count, fn.__name__)
+                    results.append((got, tuple(a.copy() for a in got)))
+    for got, copies in results:
+        assert all(np.array_equal(a, b) for a, b in zip(got, copies))
 
 
 def reference_observations(config, start, count):

@@ -188,3 +188,27 @@ def test_experiment_scratch_stays_under_40_bytes_per_trial(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peak / trials <= 40
+
+
+def test_a_warmed_experiment_at_ten_sensors_stays_under_40_bytes_per_trial(monkeypatch):
+    # Each worker keeps its chunk buffers from the warm-up, so the second
+    # experiment's chunks draw, multiply and score in memory that is already
+    # there.  Fresh uniforms, normals, products and observations per chunk
+    # held 74 B a trial on two workers.
+    trials = 1 << 17
+    n = 10
+    rng = np.random.default_rng(10)
+    a = rng.normal(size=(n, n))
+    model = GaussianModel(np.zeros(n), a @ a.T / n + np.eye(n))
+    attack = AttackSpec(kind="A", am=2.0, targets=Coalition.of([0, 1], n))
+    config = ExperimentConfig(model=model, attack=attack, trials=trials, seed=5)
+    with ThreadPoolExecutor(2) as two:
+        monkeypatch.setattr(harness, "_POOL", two)
+        run_experiment(config)  # starts the workers, which keep their buffers
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak / trials <= 40
