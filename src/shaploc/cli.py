@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("which", choices=("table1", "table2"))
     p_preset.add_argument("--trials", type=int, default=None,
                           help="Monte Carlo runs per experiment (default 10^6)")
-    p_preset.add_argument("--seed", type=int, default=0)
+    p_preset.add_argument("--seed", type=int, default=None, help="suite seed (default 0)")
 
     p_bench = sub.add_parser(
         "bench", parents=[output], help="time full enumeration vs single-term"
@@ -96,8 +96,8 @@ def main(argv=None) -> int:
             cfg = parse_config(args.config)
         else:
             make = preset_table1 if args.which == "table1" else preset_table2
-            trials = args.trials if args.trials is not None else 1_000_000
-            cfg = make(trials=trials, seed=args.seed)
+            given = {"trials": args.trials, "seed": args.seed}
+            cfg = make(**{key: value for key, value in given.items() if value is not None})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

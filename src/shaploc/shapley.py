@@ -83,8 +83,10 @@ def shapley_weight(s_card: int, n: int) -> float:
     return math.factorial(s_card) * math.factorial(n - s_card - 1) / math.factorial(n)
 
 
-# sampled_shapley reads a Gaussian score from the 2^n table when 2^n is at
-# most this many times the permutations.  At n = 14..20 a table coalition
+# sampled_shapley reads a Gaussian score from the 2^n table in a kept
+# universe, or when 2^n is at most this many times the permutations.  A kept
+# table at n = 14 costs less than one permutation's memo misses, and scoring
+# one about as much (0.34 against 0.35 ms).  At n = 14..20 a table coalition
 # costs 7-17 ns once the model's factors are built, and a permutation's memo
 # misses 71-257 us, so the table costs less up to 2^n = 5600 to 27000 times
 # the permutations (BENCH_explain_table.json); this stays below all of them.
@@ -146,38 +148,30 @@ def _coalitions(n: int, skip: int | None = None) -> Iterator[Coalition]:
     return map(Coalition._trusted, masks, repeat(n))
 
 
-# the last Gaussian table scored in a universe small enough to keep, as
-# (model, observation bytes, read-only table); at most 128 KiB at n = 14
-_kept_table: tuple[GaussianModel, bytes, np.ndarray] | None = None
+@lru_cache(maxsize=1)
+def _kept_table(model: GaussianModel, observation: bytes) -> np.ndarray:
+    """The read-only coalition table of one validated observation, kept until the next.
+
+    At most 2^14 doubles, 128 KiB, in a universe small enough to keep.
+    """
+    table = model.coalition_values(np.frombuffer(observation))
+    table.setflags(write=False)  # shared with every later call on this observation
+    return table
 
 
-def _values(v: ValueFunction, x, reuse: bool = False) -> np.ndarray:
+def _values(v: ValueFunction, x) -> np.ndarray:
     """v(S, x) for every coalition S, indexed by bit mask.
 
     A Gaussian value function is scored by its model's chain-rule kernel;
     any other takes one call per coalition.  In a universe small enough to
-    keep, every Gaussian table scored is kept read-only until the next, and
-    a ``reuse`` call on the same model and observation returns it instead
-    of scoring again.  So the truncated and sampled values that follow
-    all_shapley on one observation read its table.  all_shapley and
-    exact_shapley do not reuse: suite.bench times repeated calls on one
-    observation, and each must score.
+    keep, every explainer reads the table of the last (model, observation)
+    scored, so explaining one observation several ways scores it once.
     """
-    global _kept_table
     n = v.n
     if isinstance(v, GaussianValueFunction):
         if 1 << n > _KEPT_COALITIONS:
             return v.model.coalition_values(x)
-        x = check_observation(x, n)
-        key = x.tobytes()
-        kept = _kept_table
-        if reuse and kept is not None and kept[0] is v.model and kept[1] == key:
-            return kept[2]
-        _kept_table = None  # frees the old table first, so the new one can reuse its memory
-        table = v.model.coalition_values(x)
-        table.setflags(write=False)  # shared with later reuse calls
-        _kept_table = (v.model, key, table)
-        return table
+        return _kept_table(v.model, check_observation(x, n).tobytes())
     return np.fromiter(map(v, _coalitions(n), repeat(x)), float, 1 << n)
 
 
@@ -323,7 +317,7 @@ def truncated_shapley(
     mass = weights.sum()
     if mass == 0.0:
         raise EmptyKeptSetError("truncation predicate kept no coalition")
-    return float(_transform(_values(v, x, reuse=True), (i,), weights)[0] / mass)
+    return float(_transform(_values(v, x), (i,), weights)[0] / mass)
 
 
 def sampled_shapley(
@@ -334,9 +328,10 @@ def sampled_shapley(
     Averages the marginal contribution of i over uniformly random sensor
     orderings, drawn a block at a time; the generator shuffles each block's
     rows as that many ``rng.permutation(n)`` calls would.  A Gaussian value
-    function's scores are read from its 2^n coalition table while that costs
-    less than scoring the permutations' coalitions one by one (the two agree
-    bit for bit); otherwise coalition values are memoized within the call.
+    function's scores are read from its 2^n coalition table in a universe
+    small enough to keep, or while the table costs less than scoring the
+    permutations' coalitions one by one (the two agree bit for bit);
+    otherwise coalition values are memoized within the call.
     Coalitions are summed as int64 masks, so n is at most
     ``MAX_SAMPLED_SENSORS``.
     """
@@ -350,8 +345,10 @@ def sampled_shapley(
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     table = None
-    if isinstance(v, GaussianValueFunction) and 1 << n <= _TABLE_PER_PERMUTATION * permutations:
-        table = _values(v, x, reuse=True)
+    if isinstance(v, GaussianValueFunction) and 1 << n <= max(
+        _KEPT_COALITIONS, _TABLE_PER_PERMUTATION * permutations
+    ):
+        table = _values(v, x)
     else:
         cache: dict[int, float] = {0: 0.0}
         trusted = Coalition._trusted

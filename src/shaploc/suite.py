@@ -16,6 +16,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
+from itertools import cycle
 from numbers import Real
 
 import numpy as np
@@ -172,15 +173,18 @@ _EXPERIMENT_KEYS = {
 }
 
 
-_REQUIRED = object()
+# the numeric experiment keys besides am, in the order their errors are reported
+_EXPERIMENT_NUMBERS = (
+    "rho", "sigma1", "sigma2", "mu1", "mu2", "sigma_a", "um",
+    "sensor_under_test", "trials", "attack_prior",
+)
+_EXPERIMENT_INTEGERS = {"sensor_under_test", "trials"}
 
 
-def _get_float(section, key, default=_REQUIRED):
+def _get_float(section, key):
     raw = section.get(key)
     if raw is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"[{section.name}] missing required key {key!r}")
-        return default
+        raise ConfigError(f"[{section.name}] missing required key {key!r}")
     try:
         value = float(raw)
     except ValueError:
@@ -190,61 +194,50 @@ def _get_float(section, key, default=_REQUIRED):
     return value
 
 
-def _get_int(section, key, default):
-    raw = section.get(key)
-    if raw is None:
-        return default
+def _get_int(section, key):
+    raw = section[key]  # no integer key is required
     try:
         return int(raw)
     except ValueError:
         raise ConfigError(f"[{section.name}] {key}: not an integer: {raw!r}") from None
 
 
-def _parse_experiment(section, default_trials: int) -> ExperimentSpec:
+def _parse_experiment(section, defaults: dict) -> ExperimentSpec:
+    """The section's experiment; keys it leaves out take ``defaults``, then ExperimentSpec's."""
     unknown = set(section.keys()) - _EXPERIMENT_KEYS
     if unknown:
         raise ConfigError(f"[{section.name}] unknown keys: {sorted(unknown)}")
     attack_type = section.get("attack_type")
     if attack_type is None:
         raise ConfigError(f"[{section.name}] missing required key 'attack_type'")
-    mode_raw = section.get("threshold_mode", "exact-sort")
-    if mode_raw == "exact-sort":
-        mode: GridSpec | str = "exact"
-    elif mode_raw == "grid":
+    fields = dict(defaults, attack_type=attack_type.strip())
+    mode = section.get("threshold_mode")
+    if mode == "exact-sort":
+        fields["threshold_mode"] = "exact"
+    elif mode == "grid":
         # the getters' errors already name the section: prefix only GridSpec's
         lo = _get_float(section, "grid_lo")
         hi = _get_float(section, "grid_hi")
-        steps = _get_int(section, "grid_steps", 0)
+        steps = _get_int(section, "grid_steps") if "grid_steps" in section else 0  # refused below
         try:
-            mode = GridSpec(lo=lo, hi=hi, steps=steps)
+            fields["threshold_mode"] = GridSpec(lo=lo, hi=hi, steps=steps)
         except ValueError as exc:
             raise ConfigError(f"[{section.name}] {exc}") from None
-    else:
+    elif mode is not None:
         raise ConfigError(
             f"[{section.name}] threshold_mode: expected 'exact-sort' or 'grid', "
-            f"got {mode_raw!r}"
+            f"got {mode!r}"
         )
-    targets_raw = section.get("targets", "1")
-    try:
-        targets = tuple(int(t) for t in targets_raw.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"[{section.name}] targets: not a sensor list: {targets_raw!r}") from None
-    fields = dict(
-        attack_type=attack_type.strip(),
-        am=_get_float(section, "am"),
-        rho=_get_float(section, "rho", 0.0),
-        sigma1=_get_float(section, "sigma1", 1.0),
-        sigma2=_get_float(section, "sigma2", 1.0),
-        mu1=_get_float(section, "mu1", 0.0),
-        mu2=_get_float(section, "mu2", 0.0),
-        sigma_a=_get_float(section, "sigma_a", None),
-        um=_get_float(section, "um", None),
-        targets=targets,
-        sensor_under_test=_get_int(section, "sensor_under_test", 1),
-        trials=_get_int(section, "trials", default_trials),
-        attack_prior=_get_float(section, "attack_prior", 0.5),
-        threshold_mode=mode,
-    )
+    if "targets" in section:
+        targets = section["targets"]
+        try:
+            fields["targets"] = tuple(int(t) for t in targets.replace(",", " ").split())
+        except ValueError:
+            raise ConfigError(f"[{section.name}] targets: not a sensor list: {targets!r}") from None
+    fields["am"] = _get_float(section, "am")
+    for key in _EXPERIMENT_NUMBERS:
+        if key in section:
+            fields[key] = (_get_int if key in _EXPERIMENT_INTEGERS else _get_float)(section, key)
     try:
         return ExperimentSpec(**fields)
     except ConfigError as exc:
@@ -252,7 +245,7 @@ def _parse_experiment(section, default_trials: int) -> ExperimentSpec:
 
 
 def parse_config(path) -> SuiteConfig:
-    """Parse and validate a suite config file."""
+    """Parse and validate a suite config file; keys it leaves out take the dataclass defaults."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
@@ -263,10 +256,8 @@ def parse_config(path) -> SuiteConfig:
         # configparser messages already carry the offending line number
         raise ConfigError(str(exc)) from None
 
-    seed = 0
-    fmt = "csv"
-    out = None
-    default_trials = 10_000
+    suite = {}
+    experiment_defaults = {}  # [suite] trials, for the experiments after it
     experiments = []
     for name in parser.sections():
         section = parser[name]
@@ -274,22 +265,24 @@ def parse_config(path) -> SuiteConfig:
             unknown = set(section.keys()) - _SUITE_KEYS
             if unknown:
                 raise ConfigError(f"[suite] unknown keys: {sorted(unknown)}")
-            seed = _get_int(section, "seed", 0)
-            fmt = section.get("format", "csv")
-            out = section.get("out")
-            default_trials = _get_int(section, "trials", default_trials)
+            if "seed" in section:
+                suite["seed"] = _get_int(section, "seed")
+            if "format" in section:
+                suite["fmt"] = section["format"]
+            if "out" in section:
+                suite["out"] = section["out"]
+            if "trials" in section:
+                experiment_defaults["trials"] = _get_int(section, "trials")
         elif name.startswith("experiment."):
             exp_name = name[len("experiment."):]
             if not exp_name:
                 raise ConfigError(f"empty experiment name in section [{name}]")
-            experiments.append((exp_name, _parse_experiment(section, default_trials)))
+            experiments.append((exp_name, _parse_experiment(section, experiment_defaults)))
         else:
             raise ConfigError(
                 f"unknown section [{name}]; expected [suite] or [experiment.<name>]"
             )
-    return SuiteConfig(
-        experiments=tuple(experiments), seed=seed, fmt=fmt, out=out
-    )
+    return SuiteConfig(experiments=tuple(experiments), **suite)
 
 
 # ----------------------------------------------------------------------
@@ -434,17 +427,19 @@ def bench(n_list, reps: int = 2, seed: int = 0) -> list[dict]:
     median over ``reps`` rounds (at least 9).  Each timing repeats its call
     until it is measurable, and the sizes take turns within every round, so
     a slow or fast phase of the machine reaches all of them; the median
-    ignores the phases that a best-of would pick up.
+    ignores the phases that a best-of would pick up.  ``all_shapley`` takes
+    two observations in turn, so every call scores its table rather than
+    reading the one its previous call kept.
     """
     cases = []
     for n in n_list:
         rng = np.random.default_rng((seed, n))
         variances = rng.uniform(0.5, 2.0, n)
         vf = GaussianValueFunction(GaussianModel(np.zeros(n), np.diag(variances)))
-        x = vf.model.sample(rng)
+        x, y = vf.model.sample(rng), vf.model.sample(rng)
         singles = [Coalition.of([i], n) for i in range(n)]
-        all_shapley(vf, x)  # factorize the model outside the timings
-        cases.append((n, vf, x, singles))
+        all_shapley(vf, y)  # factorize the model outside the timings
+        cases.append((n, vf, x, cycle((x, y)), singles))
 
     def single_terms(vf, x, singles):
         for s in singles:
@@ -455,8 +450,8 @@ def bench(n_list, reps: int = 2, seed: int = 0) -> list[dict]:
     gc.disable()
     try:
         for _ in range(max(reps, 9)):
-            for (shapley_s, single_s), (n, vf, x, singles) in zip(samples, cases):
-                shapley_s.append(_seconds_per_call(lambda: all_shapley(vf, x)))
+            for (shapley_s, single_s), (n, vf, x, observations, singles) in zip(samples, cases):
+                shapley_s.append(_seconds_per_call(lambda: all_shapley(vf, next(observations))))
                 single_s.append(_seconds_per_call(lambda: single_terms(vf, x, singles)))
     finally:
         if gc_was_enabled:

@@ -572,10 +572,10 @@ def test_sampled_within_four_standard_errors_of_exact():
 
 
 def _crossover_model():
-    """An n = 13 model and the permutation counts either side of the crossover."""
+    """An n = 15 model, above the kept range, and the permutation counts around the crossover."""
     import shaploc.shapley as shapley
 
-    n = 13
+    n = 15
     rng = np.random.default_rng(25)
     a = rng.normal(size=(n, n))
     model = GaussianModel(rng.normal(size=n), a @ a.T / n + np.eye(n))
@@ -596,6 +596,14 @@ def test_sampled_reads_the_table_only_below_the_crossover(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(GaussianModel, "value", refuse)
     assert math.isfinite(sampled_shapley(vf, x, 4, table, np.random.default_rng(1)))
+    # in a kept universe one permutation already reads the observation's table
+    rng = np.random.default_rng(26)
+    kept = random_model(14, rng)
+    y = kept.sample(rng)
+    want = all_shapley(GaussianValueFunction(kept), y)
+    monkeypatch.setattr(GaussianModel, "coalition_values", refuse)
+    assert math.isfinite(sampled_shapley(GaussianValueFunction(kept), y, 4, 1, np.random.default_rng(1)))
+    assert np.array_equal(all_shapley(GaussianValueFunction(kept), y).phi, want.phi)
 
 
 def test_sampled_validates_the_observation_on_both_paths():
@@ -965,18 +973,17 @@ EXPLAINERS = {
 
 @pytest.mark.parametrize("name", sorted(EXPLAINERS))
 def test_truncated_and_sampled_values_reuse_the_last_table(monkeypatch, name):
+    """Whichever explainer scores an observation first, every later one reads its table."""
     calls = _count_tables(monkeypatch)
     rng = np.random.default_rng(44)
     model = random_model(14, rng)
     vf, x = GaussianValueFunction(model), model.sample(rng)
     first = EXPLAINERS[name](vf, x)
     assert len(calls) == 1
-    for reuse in ("truncated", "sampled"):
-        EXPLAINERS[reuse](GaussianValueFunction(model), list(x))  # any wrapper, any equal x
-    assert len(calls) == 1
+    for other in sorted(EXPLAINERS):
+        EXPLAINERS[other](GaussianValueFunction(model), list(x))  # any wrapper, any equal x
     assert np.array_equal(EXPLAINERS[name](vf, x.copy()), first)
-    # all_shapley and exact_shapley score on every call
-    assert len(calls) == (1 if name in ("truncated", "sampled") else 2)
+    assert len(calls) == 1
     with pytest.raises(DimensionMismatchError):  # a kept table skips no check
         EXPLAINERS[name](vf, x[:-1])
     with pytest.raises(ValueError):
@@ -1012,7 +1019,7 @@ def test_the_kept_table_is_read_only_and_follows_the_callers_edits():
     model = random_model(6, rng)
     vf, x = GaussianValueFunction(model), model.sample(rng)
     table = shapley._values(vf, x)
-    assert shapley._values(vf, x, reuse=True) is table
+    assert shapley._values(vf, x.copy()) is table
     with pytest.raises(ValueError):
         table[1] = 0.0
     before = EXPLAINERS["truncated"](vf, x)
@@ -1042,8 +1049,24 @@ def test_explanations_are_the_same_bits_without_the_kept_table(monkeypatch):
                 out.append(sampled_shapley(vf, x, i, 50, np.random.default_rng(i)))
         return np.hstack(out)
 
-    kept = explain()
-    monkeypatch.setattr(shapley, "_KEPT_COALITIONS", 0)
     calls = _count_tables(monkeypatch)
+    kept = explain()
+    assert len(calls) == len(cases)  # one table per observation
+    monkeypatch.setattr(shapley, "_KEPT_COALITIONS", 0)
+    calls.clear()
     assert np.array_equal(explain(), kept)
-    assert len(calls) > len(cases)  # every call scored its own table
+    # every call scored its own table
+    assert len(calls) == sum(1 + 3 * len({0, vf.n - 1}) for vf, _ in cases)
+
+
+def test_every_explainer_of_one_observation_scores_one_table(monkeypatch):
+    calls = _count_tables(monkeypatch)
+    rng = np.random.default_rng(48)
+    model = random_model(14, rng)
+    vf, x = GaussianValueFunction(model), model.sample(rng)
+    phi = all_shapley(vf, x).phi
+    exact = [exact_shapley(vf, x, i) for i in range(14)]
+    truncated_shapley(vf, x, 3, lambda s: len(s) <= 2)
+    sampled_shapley(vf, x, 3, 1, np.random.default_rng(7))
+    assert calls == [model]
+    assert [e.hex() for e in exact] == [p.hex() for p in phi.tolist()]

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from shaploc import ConfigError, ExperimentSpec, SuiteConfig, parse_config, run_suite
+from shaploc import ConfigError, ExperimentSpec, GaussianModel, SuiteConfig, parse_config, run_suite
 from shaploc.harness import GridSpec
 from shaploc.suite import (
     COLUMNS,
@@ -203,6 +203,11 @@ grid_steps = 999
     assert parse_config(write(tmp_path, text)) == SuiteConfig(experiments=(("g", g),))
 
 
+def test_keys_a_file_leaves_out_take_the_dataclass_defaults(tmp_path):
+    spec = ExperimentSpec(attack_type="A", am=10.0)
+    assert parse_config(write(tmp_path, MINIMAL)) == SuiteConfig(experiments=(("basic", spec),))
+
+
 # ----------------------------------------------------------------------
 # presets
 
@@ -333,6 +338,28 @@ def test_bench_rows():
     for row in rows:
         assert row["t_shapley"] > 0
         assert row["t_single"] > 0
+
+
+def test_bench_scores_a_table_on_every_timed_call(monkeypatch):
+    # a repeat on one observation would read the kept table and time no scoring
+    import shaploc.suite as suite
+
+    tables, calls = [], []
+    score, explain = GaussianModel.coalition_values, suite.all_shapley
+
+    def counted_score(self, x):
+        tables.append(self)
+        return score(self, x)
+
+    def counted_explain(vf, x):
+        calls.append(vf)
+        return explain(vf, x)
+
+    monkeypatch.setattr(GaussianModel, "coalition_values", counted_score)
+    monkeypatch.setattr(suite, "all_shapley", counted_explain)
+    bench([13, 14], reps=1)
+    assert len(calls) > 2 * 9
+    assert len(tables) == len(calls)
 
 
 def test_seed_gives_reproducible_suite():
