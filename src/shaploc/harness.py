@@ -20,14 +20,15 @@ Philox stream keyed by the experiment seed, so results are reproducible
 trial by trial and independent of execution order.  Every chunk size, a
 chunk of one trial included, gives each trial the same bits.
 
-Trial chunks, the two class sorts and the threshold counts run on one
-thread pool per process, sized by the CPUs this process may run on;
-numpy and scipy release the interpreter lock in that work.  Each thread
-that simulates chunks (a pool worker, or the calling thread where there
-is no pool) keeps two scratch buffers for its lifetime, of 2^14 x stride
-and 2^14 x n doubles, stride being the uniforms drawn per trial: the
-uniforms and then the Cholesky product in the first, the normals and
-then the sensor-major observations in the second.  So a chunk reuses
+Trial chunks, the two class sorts and the fine threshold counts of a
+span longer than one count block run on one thread pool per process,
+sized by the CPUs this process may run on; numpy and scipy release the
+interpreter lock in that work.  Each thread that simulates chunks (a
+pool worker, or the calling thread where there is no pool) keeps two
+scratch buffers for its lifetime, of 2^14 x stride and 2^14 x n doubles,
+stride being the uniforms drawn per trial: the uniforms and then the
+Cholesky product in the first, the normals and then the sensor-major
+observations in the second.  So a chunk reuses
 resident pages instead of faulting in fresh arrays, and a thread holds
 at most (stride + n) x 2^14 doubles of the widest model it has
 simulated, 9.5 MiB at n = 24 with 24 targets.  No view of them leaves
@@ -56,10 +57,14 @@ from .gaussian import _LOG_2PI, GaussianModel
 from .shapley import gaussian_shapley_form
 
 Z_95 = 1.96
-# trials per generation chunk and clean scores per threshold-count block:
-# the unit of work a pool worker takes, and the size of its scratch
+# the units of work a pool worker takes: trials per generation chunk, also
+# the size of its scratch, and clean cuts per threshold-count block
 _TRIAL_CHUNK = 1 << 14
 _COUNT_BLOCK = 1 << 14
+# clean cuts per block of the coarse threshold pass, and the fewest that
+# the fine pass counts at once
+_COARSE_STEP = 64
+_FINE_PIECE = 1 << 10
 
 
 def _new_pool() -> ThreadPoolExecutor | None:
@@ -353,27 +358,67 @@ def _optimize_exact(scores: np.ndarray, labels: np.ndarray) -> tuple[float, floa
     every attacked score and falls only across a clean one, so the smallest
     minimizing cut lies below every score or just above the last copy of a
     clean value w, where the errors are #attacked <= w plus #clean > w.
+    Only the cuts that a coarse pass cannot rule out are counted.
     """
     att, clean = _split_sorted(scores, labels)
     n_clean = clean.size
-    errors = np.empty(n_clean, dtype=np.intp)
 
-    def count(lo: int) -> None:
-        # errors at the k-th clean score w: #attacked <= w, plus the
-        # n_clean - 1 - k clean scores above it
-        hi = min(lo + _COUNT_BLOCK, n_clean)
-        block = np.searchsorted(att, clean[lo:hi], "right")
-        block += np.arange(n_clean - 1 - lo, n_clean - 1 - hi, -1)
-        errors[lo:hi] = block
+    def cut_errors(lo: int, hi: int, step: int = 1) -> np.ndarray:
+        # errors at every step-th clean score w from the lo-th to before the
+        # hi-th: #attacked <= w, plus the n_clean - 1 - k clean scores above
+        # the k-th.  Every attacked score at or below the first w counts for
+        # all of them, and none above the last w counts for any, so only the
+        # attacked scores in between are searched
+        keys = clean[lo:hi:step]
+        below, upto = att.searchsorted(keys[[0, -1]], "right")
+        errors = att[below:upto].searchsorted(keys, "right")
+        errors += np.arange(n_clean - 1 - lo + below, n_clean - 1 - hi + below, -step)
+        return errors
 
-    _run_all(count, range(0, n_clean, _COUNT_BLOCK))
-    best = int(np.argmin(errors))  # the smallest minimizing w, at its last copy
-    if errors[best] >= n_clean:  # the cut below every score errs n_clean times
+    # the fine pass counts a piece of cuts at a time, so each thread's
+    # scratch, two intp arrays of a piece, is 16 KiB, or 1/64 of the
+    # clean class's bytes beyond 2^17 clean scores
+    piece_size = max(_FINE_PIECE, n_clean // 128)
+
+    def least_errors(lo: int, hi: int) -> tuple[int, int]:
+        # (fewest errors, the first cut with that many) over cuts lo..hi-1
+        least, best = n_clean + 1, lo
+        for piece in range(lo, hi, piece_size):
+            errors = cut_errors(piece, min(piece + piece_size, hi))
+            k = int(np.argmin(errors))
+            if errors[k] < least:
+                least, best = int(errors[k]), piece + k
+            del errors  # freed before the next piece's scratch is allocated
+        return least, best
+
+    # coarse pass: the errors at the first cut of every block of
+    # _COARSE_STEP cuts; their minimum is an attained error count
+    coarse = cut_errors(0, n_clean, _COARSE_STEP)
+    # #attacked <= w never falls, so no cut of a block errs fewer times than
+    # its first cut less the block's other cuts: every minimizing cut, the
+    # smallest included, lies in a block this bound cannot rule out
+    kept = coarse <= coarse.min() + (_COARSE_STEP - 1)
+    first = int(np.argmax(kept)) * _COARSE_STEP
+    stop = min((kept.size - int(np.argmax(kept[::-1]))) * _COARSE_STEP, n_clean)
+    del coarse, kept  # freed before the fine pass allocates its scratch
+    # fine pass over the span from the first kept block to the last
+    blocks = range(first, stop, _COUNT_BLOCK)
+    if len(blocks) > 1:
+        found = np.empty((len(blocks), 2), dtype=np.intp)
+
+        def count(b: int) -> None:
+            found[b] = least_errors(blocks[b], min(blocks[b] + _COUNT_BLOCK, stop))
+
+        _run_all(count, range(len(blocks)))
+        least, best = map(int, found[np.argmin(found[:, 0])])
+    else:
+        least, best = least_errors(first, stop)
+    if least >= n_clean:  # the cut below every score errs n_clean times
         return -math.inf, n_clean / scores.size
-    a = int(errors[best]) - (n_clean - 1 - best)  # attacked scores at or below w
+    a = least - (n_clean - 1 - best)  # attacked scores at or below w
     above = np.concatenate((clean[best + 1 : best + 2], att[a : a + 1]))
     tau = 0.5 * (clean[best] + above.min()) if above.size else math.inf
-    return float(tau), int(errors[best]) / scores.size
+    return float(tau), least / scores.size
 
 
 def _optimize_grid(scores, labels, lo: float, hi: float, steps: int) -> tuple[float, float]:

@@ -63,12 +63,41 @@ def test_pool_and_serial_path_give_the_same_bits(pool, monkeypatch, kind, mode):
     config = three_sensor_config(kind, mode)
     pooled_scores = simulate_scores(config)
     pooled = run_experiment(config)
-    # the clean class spans several count blocks
+    # the clean class spans several count blocks, though the cuts left to
+    # count after pruning may fit in one (see the interleaved test below)
     assert np.count_nonzero(~pooled_scores[2]) > 2 * _COUNT_BLOCK
     monkeypatch.setattr(harness, "_POOL", None)
     serial_scores = simulate_scores(config)
     assert all(np.array_equal(a, b) for a, b in zip(pooled_scores, serial_scores))
     assert run_experiment(config) == pooled
+
+
+@pytest.mark.parametrize("drop", [None, 5, 2 * _COUNT_BLOCK + 77])
+def test_pooled_counts_over_a_wide_span_give_the_serial_bits(pool, monkeypatch, drop):
+    # Interleaved classes make the error curve flat, so pruning keeps every
+    # clean cut and the count blocks go to the pool.  Dropping the attacked
+    # score just below a clean one moves the minimum to that clean score.
+    n_clean = 3 * _COUNT_BLOCK + 5
+    clean = 2.0 * np.arange(n_clean)
+    attacked = clean + 1.0 if drop is None else np.delete(clean + 1.0, drop - 1)
+    order = np.random.default_rng(3).permutation(clean.size + attacked.size)
+    scores = np.concatenate((clean, attacked))[order]
+    labels = (np.arange(scores.size) >= clean.size)[order]
+    batches = []
+    run_all = harness._run_all
+
+    def recording(fn, items):
+        batches.append(len(items))
+        run_all(fn, items)
+
+    monkeypatch.setattr(harness, "_run_all", recording)
+    pooled = harness._optimize_exact(scores, labels)
+    assert batches == [2, 4]  # the two sorts, then the count blocks of every cut
+    monkeypatch.setattr(harness, "_POOL", None)
+    assert harness._optimize_exact(scores, labels) == pooled
+    k = 0 if drop is None else drop
+    errors = n_clean - 1 - (drop is not None)
+    assert pooled == (clean[k] + 0.5, errors / scores.size)
 
 
 def test_more_workers_than_cores_and_fast_switching_give_the_same_bits(monkeypatch):
@@ -212,3 +241,35 @@ def test_a_warmed_experiment_at_ten_sensors_stays_under_40_bytes_per_trial(monke
         finally:
             tracemalloc.stop()
     assert peak / trials <= 40
+
+
+def test_counting_after_the_sorts_allocates_under_5_percent_of_the_clean_class(monkeypatch):
+    # table2's rho = +0.8 row.  The coarse pass holds two intp arrays of
+    # 1/64 of the clean cuts, and each thread counts the kept span a small
+    # piece at a time.  An error count for every clean cut took 8 bytes each.
+    trials = 1 << 18
+    model = GaussianModel([0.0, 0.0], [[4.0, 3.2], [3.2, 4.0]])
+    attack = AttackSpec(kind="A", am=1.0, targets=Coalition.of([0], 2))
+    config = ExperimentConfig(model=model, attack=attack, trials=trials, seed=5)
+    phi, v, labels = simulate_scores(config)
+    n_clean = np.count_nonzero(~labels)
+    split_sorted = harness._split_sorted
+    sorted_bytes = []
+
+    def then_reset_peak(scores, labels):
+        classes = split_sorted(scores, labels)
+        sorted_bytes.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return classes
+
+    monkeypatch.setattr(harness, "_split_sorted", then_reset_peak)
+    with ThreadPoolExecutor(2) as two:
+        monkeypatch.setattr(harness, "_POOL", two)
+        for scores in (phi, v):
+            tracemalloc.start()
+            try:
+                harness._optimize_exact(scores, labels)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - sorted_bytes[-1] < 0.05 * n_clean * 8

@@ -25,7 +25,12 @@ from shaploc import (  # noqa: E402
     truncated_shapley,
 )
 from shaploc import harness  # noqa: E402
-from shaploc.harness import _COUNT_BLOCK, _optimize_exact, _optimize_grid  # noqa: E402
+from shaploc.harness import (  # noqa: E402
+    _COARSE_STEP,
+    _COUNT_BLOCK,
+    _optimize_exact,
+    _optimize_grid,
+)
 from shaploc.shapley import (  # noqa: E402
     _TABLE_PER_PERMUTATION,
     _pair_weights,
@@ -260,6 +265,72 @@ def test_exact_counts_across_count_blocks(shape, n_clean):
     assert (tau, pe) == reference_exact(scores, labels)
     if shape == "edge":
         assert tau == np.sort(clean)[min(n_clean, _COUNT_BLOCK) - 1] + 0.25
+
+
+def placed_minimum(shape, n_clean, place, rng):
+    """(sorted clean scores, attacked scores, sorted index of the clean score
+    just below the smallest minimizing cut, or None for the cut below every score).
+
+    The minimum sits at the first clean cut, at the last cut of the first
+    coarse block (or the last copy of the tied run across its edge), at
+    the last clean score, or below every score.
+    """
+    target = {"first": 0, "edge": min(_COARSE_STEP, n_clean) - 1, "last": n_clean - 1}
+    if shape == "interleaved":
+        # clean scores at the even numbers and an attacked score just above
+        # each: a flat error curve, whose smallest cut is the first.  With
+        # the attacked scores just below each, it ties with the cut below
+        # every score, which wins the tie.  Dropping the attacked score just
+        # below a clean score lowers the curve from that score on.
+        clean = 2.0 * np.arange(n_clean)
+        if place == "-inf":
+            return clean, clean - 1.0, None
+        k = target[place]
+        return clean, np.delete(clean + 1.0, k - 1) if k else clean + 1.0, k
+    if shape == "continuous":
+        clean = np.sort(rng.normal(size=n_clean))
+    else:  # runs of 3 tied scores, one of them across the first coarse edge
+        clean = np.arange(n_clean) // 3 * 0.5
+    if place == "-inf":  # more attacked scores than clean ones, all below them
+        return clean, clean[0] - 1.0 - rng.random(n_clean + 1), None
+
+    def above(j, count):
+        # count attacked scores above the j-th clean score, at or below the
+        # next clean run: tied with it in the tied shape
+        nxt = clean[j + 1] if j + 1 < n_clean else clean[j] + 1.0
+        if shape == "tied":
+            return np.full(count, nxt)
+        return clean[j] + (nxt - clean[j]) * (1.0 - rng.random(count))
+
+    k = int(np.searchsorted(clean, clean[target[place]], "right")) - 1
+    if k == n_clean - 1:
+        return clean, above(k, n_clean + 1), k
+    # as many attacked scores just above the k-th clean score as the next
+    # run has copies, so the cut above that run ties with the k-th; then
+    # more attacked than clean scores just above that run
+    j = int(np.searchsorted(clean, clean[k + 1], "right")) - 1
+    return clean, np.concatenate((above(k, j - k), above(j, n_clean + 1))), k
+
+
+@pytest.mark.parametrize("place", ["first", "edge", "last", "-inf"])
+@pytest.mark.parametrize("shape", ["continuous", "tied", "interleaved"])
+@pytest.mark.parametrize("n_clean", [63, 64, 65, 129, 3 * _COARSE_STEP - 5])
+def test_exact_minimum_at_coarse_block_boundaries(n_clean, shape, place):
+    rng = np.random.default_rng([n_clean, len(shape), len(place)])
+    clean, attacked, k = placed_minimum(shape, n_clean, place, rng)
+    if shape == "tied" and place == "edge" and n_clean > _COARSE_STEP:
+        # a tied run straddles the edge, and the minimum is at its last copy
+        assert clean[_COARSE_STEP - 1] == clean[_COARSE_STEP] == clean[k]
+        assert k >= _COARSE_STEP
+    order = rng.permutation(clean.size + attacked.size)
+    scores = np.concatenate((clean, attacked))[order]
+    labels = (np.arange(scores.size) >= clean.size)[order]
+    tau, pe = _optimize_exact(scores, labels)
+    assert (tau, pe) == reference_exact(scores, labels)
+    if k is None:
+        assert tau == -math.inf
+    else:
+        assert np.searchsorted(clean, tau) == k + 1  # just above the k-th clean score
 
 
 @given(st.integers(0, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
