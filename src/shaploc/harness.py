@@ -20,18 +20,28 @@ Philox stream keyed by the experiment seed, so results are reproducible
 trial by trial and independent of execution order.  Every chunk size, a
 chunk of one trial included, gives each trial the same bits.
 
-Trial chunks, the two class sorts and the fine threshold counts of a
+``run_experiment`` works class-major and never holds a label array.  Each
+chunk's worker writes the chunk's phi and v scores, the attacked trials'
+first, into the chunk's columns of one (2, trials) array, and records how
+many of its trials were attacked.  The calling thread then copies each
+statistic's attacked pieces into one new array and moves its clean pieces
+left within the statistic's row, in chunk order, and the four classes are
+sorted in place.  Thresholds depend only on the sorted classes, so they
+equal those of the trial-order scores and labels that ``simulate_scores``
+returns, and both paths score their chunks with ``_simulate_chunk``.
+
+Trial chunks, the four class sorts and the fine threshold counts of a
 span longer than one count block run on one thread pool per process,
 sized by the CPUs this process may run on; numpy and scipy release the
 interpreter lock in that work.  Each thread that simulates chunks (a
 pool worker, or the calling thread where there is no pool) keeps two
 scratch buffers for its lifetime, of 2^14 x stride and 2^14 x n doubles,
-stride being the uniforms drawn per trial: the uniforms and then the
-Cholesky product in the first, the normals and then the sensor-major
-observations in the second.  So a chunk reuses
-resident pages instead of faulting in fresh arrays, and a thread holds
-at most (stride + n) x 2^14 doubles of the widest model it has
-simulated, 9.5 MiB at n = 24 with 24 targets.  No view of them leaves
+stride being the uniforms drawn per trial: the uniforms, then the
+Cholesky product, then the scoring rows and the two scores in the first,
+the normals and then the sensor-major observations in the second.  So a
+chunk reuses resident pages instead of faulting in fresh arrays, and a
+thread holds at most (stride + n) x 2^14 doubles of the widest model it
+has simulated, 9.5 MiB at n = 24 with 24 targets.  No view of them leaves
 the chunk path: every array handed to a caller is its own.  Workers
 write their results only into arrays the calling thread allocated,
 because freed worker temporaries stay resident in glibc's per-thread
@@ -292,10 +302,13 @@ def _scoring_form(model: GaussianModel, i: int):
 
 
 def _simulate_chunk(
-    config: ExperimentConfig, start: int, count: int
+    config: ExperimentConfig, start: int, count: int, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(phi_scores, v_scores, attacked labels) for trials start..start+count-1.
 
+    The scores are new arrays in trial order or, given ``out``, the two
+    rows of ``out``, a (2, count) array, written class-major: the attacked
+    trials' scores first, then the clean trials', each in trial order.
     Scoring is elementwise over trials, in an order fixed by n, so a
     trial's scores do not depend on the chunk.
     """
@@ -303,8 +316,9 @@ def _simulate_chunk(
     d -= config.model.mean[:, None]
     i = config.sensor_under_test
     c, u, half_precision, half_log_var = _scoring_form(config.model, i)
-    phi = np.zeros(count)
-    row, term = spare[:count], spare[count : 2 * count]
+    # the spare's first 4 * count doubles: two rows of scratch, then the scores
+    row, term, phi, v = spare[: 4 * count].reshape(4, count)
+    phi[...] = 0.0
     for a, coeffs in enumerate(u):
         np.multiply(d[a], coeffs[a], out=row)
         for b in range(a + 1, len(u)):
@@ -313,14 +327,22 @@ def _simulate_chunk(
         row *= d[a]
         phi += row
     phi += c
-    v = np.multiply(d[i], d[i])
+    np.multiply(d[i], d[i], out=v)
     v *= half_precision
     v += half_log_var
-    return phi, v, attacked
+    if out is None:
+        return phi.copy(), v.copy(), attacked
+    attacked_at = np.flatnonzero(attacked)
+    clean_at = np.flatnonzero(np.logical_not(attacked))
+    split = attacked_at.size
+    for scores, dst in zip((phi, v), out):
+        scores.take(attacked_at, out=dst[:split])
+        scores.take(clean_at, out=dst[split:])
+    return out[0], out[1], attacked
 
 
 def simulate_scores(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All trial scores and labels, computed in deterministic chunks."""
+    """All trial scores and labels in trial order, computed in deterministic chunks."""
     chunk = _TRIAL_CHUNK
     m = config.trials
     phi, v, labels = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
@@ -337,31 +359,77 @@ def simulate_scores(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, n
     return phi, v, labels
 
 
+def _simulate_classes(config: ExperimentConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """[sorted attacked scores, sorted clean scores] of phi, and of v.
+
+    Each chunk's worker writes its scores class-major into the chunk's
+    columns of one (2, trials) array.  Then, per statistic, the attacked
+    pieces are copied into a new array and the clean pieces moved left
+    into the statistic's own row, both in chunk order, so the classes hold
+    their trials in trial order before the sorts.
+    """
+    chunk = _TRIAL_CHUNK
+    m = config.trials
+    starts = range(0, m, chunk)
+    scores = np.empty((2, m))
+    attacked = np.empty(len(starts), dtype=np.intp)
+    _scoring_form(config.model, config.sensor_under_test)
+
+    def fill(c: int) -> None:
+        start = starts[c]
+        stop = min(start + chunk, m)
+        labels = _simulate_chunk(config, start, stop - start, scores[:, start:stop])[2]
+        attacked[c] = np.count_nonzero(labels)
+
+    _run_all(fill, range(len(starts)))
+    classes = []
+    for row in scores:
+        att = np.empty(int(attacked.sum()))
+        a = k = 0
+        for start, n_att in zip(starts, attacked.tolist()):
+            split, stop = start + n_att, min(start + chunk, m)
+            att[a : a + n_att] = row[start:split]
+            # a move to the left: numpy copies overlapping 1-d slices in order
+            row[k : k + stop - split] = row[split:stop]
+            a, k = a + n_att, k + stop - split
+        classes += (att, row[:k])
+    _sort_classes(classes)
+    return classes[:2], classes[2:]
+
+
 # ----------------------------------------------------------------------
 # threshold optimization
 
 
+def _sort_classes(classes) -> None:
+    """Sort every class in place, side by side; none may be empty."""
+    if any(c.size == 0 for c in classes):
+        raise DegenerateLabelsError("threshold optimization needs both classes")
+    _run_all(np.ndarray.sort, classes)
+
+
 def _split_sorted(scores: np.ndarray, labels: np.ndarray):
     """(sorted attacked scores, sorted clean scores); both classes must occur."""
-    att = scores.take(np.flatnonzero(labels))
-    clean = scores.take(np.flatnonzero(np.logical_not(labels)))
-    if att.size == 0 or clean.size == 0:
-        raise DegenerateLabelsError("threshold optimization needs both classes")
-    _run_all(np.ndarray.sort, (att, clean))
-    return att, clean
+    classes = (
+        scores.take(np.flatnonzero(labels)),
+        scores.take(np.flatnonzero(np.logical_not(labels))),
+    )
+    _sort_classes(classes)
+    return classes
 
 
-def _optimize_exact(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+def _exact_threshold(att: np.ndarray, clean: np.ndarray) -> tuple[float, float]:
     """(tau, pe) minimizing the error over all midpoints of sorted distinct scores.
 
-    Scores above tau are declared attacked.  The error count rises across
-    every attacked score and falls only across a clean one, so the smallest
+    ``att`` and ``clean`` are the two classes, each sorted.  Scores above
+    tau are declared attacked.  The error count rises across every
+    attacked score and falls only across a clean one, so the smallest
     minimizing cut lies below every score or just above the last copy of a
     clean value w, where the errors are #attacked <= w plus #clean > w.
     Only the cuts that a coarse pass cannot rule out are counted.
     """
-    att, clean = _split_sorted(scores, labels)
     n_clean = clean.size
+    total = att.size + n_clean
 
     def cut_errors(lo: int, hi: int, step: int = 1) -> np.ndarray:
         # errors at every step-th clean score w from the lo-th to before the
@@ -414,37 +482,47 @@ def _optimize_exact(scores: np.ndarray, labels: np.ndarray) -> tuple[float, floa
     else:
         least, best = least_errors(first, stop)
     if least >= n_clean:  # the cut below every score errs n_clean times
-        return -math.inf, n_clean / scores.size
+        return -math.inf, n_clean / total
     a = least - (n_clean - 1 - best)  # attacked scores at or below w
     above = np.concatenate((clean[best + 1 : best + 2], att[a : a + 1]))
     tau = 0.5 * (clean[best] + above.min()) if above.size else math.inf
-    return float(tau), least / scores.size
+    return float(tau), least / total
 
 
-def _optimize_grid(scores, labels, lo: float, hi: float, steps: int) -> tuple[float, float]:
-    """(tau, pe) minimizing the error over an equally spaced grid."""
-    att, clean = _split_sorted(scores, labels)
+def _grid_threshold(
+    att: np.ndarray, clean: np.ndarray, lo: float, hi: float, steps: int
+) -> tuple[float, float]:
+    """(tau, pe) minimizing the error over an equally spaced grid, on sorted classes."""
     taus = np.linspace(lo, hi, steps)
     # errors less the constant #clean: misses minus clean scores at or below tau
     errors = np.searchsorted(att, taus, "right") - np.searchsorted(clean, taus, "right")
     best = int(np.argmin(errors))  # ties -> smallest threshold
-    return float(taus[best]), int(errors[best] + clean.size) / scores.size
+    return float(taus[best]), int(errors[best] + clean.size) / (att.size + clean.size)
+
+
+def _optimize_exact(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """``_exact_threshold`` over the classes of trial-order scores and labels."""
+    return _exact_threshold(*_split_sorted(scores, labels))
+
+
+def _optimize_grid(scores, labels, lo: float, hi: float, steps: int) -> tuple[float, float]:
+    """``_grid_threshold`` over the classes of trial-order scores and labels."""
+    return _grid_threshold(*_split_sorted(scores, labels), lo, hi, steps)
 
 
 def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[ErrorRateReport, ErrorRateReport]:
     """(shapley report, single-term report) over the configured trials."""
-    phi, v, labels = simulate_scores(config)
+    m = config.trials
     reports = []
-    for statistic, scores in (("shapley", phi), ("single-term", v)):
+    for statistic, (att, clean) in zip(("shapley", "single-term"), _simulate_classes(config)):
         if isinstance(config.threshold_mode, GridSpec):
             g = config.threshold_mode
-            tau, pe = _optimize_grid(scores, labels, g.lo, g.hi, g.steps)
+            tau, pe = _grid_threshold(att, clean, g.lo, g.hi, g.steps)
         else:
-            tau, pe = _optimize_exact(scores, labels)
-        ci = binomial_ci(pe, scores.size)
-        reports.append(ErrorRateReport(statistic, tau, pe, ci, scores.size))
+            tau, pe = _exact_threshold(att, clean)
+        reports.append(ErrorRateReport(statistic, tau, pe, binomial_ci(pe, m), m))
     return reports[0], reports[1]
 
 

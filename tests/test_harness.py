@@ -269,6 +269,14 @@ def test_high_prior_labels_every_trial_attacked():
     assert labels.all()
 
 
+@pytest.mark.parametrize("mode", ["exact", GridSpec(0.0, 20.0, 11)])
+@pytest.mark.parametrize("prior", [1e-12, 1 - 1e-12])
+def test_an_experiment_of_one_class_is_rejected(prior, mode):
+    config = two_sensor_config(trials=200, attack_prior=prior, seed=1, threshold_mode=mode)
+    with pytest.raises(DegenerateLabelsError):
+        run_experiment(config)
+
+
 def test_trial_determinism():
     config = two_sensor_config(trials=100, seed=42)
     a = _simulate_chunk(config, 57, 1)

@@ -150,11 +150,13 @@ def test_a_failing_chunk_fails_only_its_experiment(pool, monkeypatch):
     failed_on = []
     simulate_chunk = harness._simulate_chunk
 
-    def fail_second_chunk(config, start, count):
+    def fail_second_chunk(config, start, count, out=None):
+        # run_experiment's workers write their chunks class-major into ``out``
+        assert out is not None
         if config.attack.am == 2.0 and start == _TRIAL_CHUNK:
             failed_on.append(threading.current_thread())
             raise RuntimeError("chunk failed")
-        return simulate_chunk(config, start, count)
+        return simulate_chunk(config, start, count, out)
 
     monkeypatch.setattr(harness, "_simulate_chunk", fail_second_chunk)
     trials = 3 * _TRIAL_CHUNK
@@ -199,10 +201,12 @@ def test_a_forked_child_runs_experiments():
     assert got == want
 
 
-def test_experiment_scratch_stays_under_40_bytes_per_trial(monkeypatch):
-    # Two workers, as on a 2-core host: each worker adds a chunk's scratch.
-    # phi, v and the labels hold 17 B a trial and the two sorted classes 8;
-    # a merge of the classes by a concatenate and an argsort held 16 more.
+def test_experiment_scratch_stays_under_32_bytes_per_trial(monkeypatch):
+    # Two warmed workers, as on a 2-core host.  The class-major phi and v
+    # scores hold 16 B a trial, and the two attacked classes, copied out
+    # for the sorts, about 8 more: 24 B in all.  Splitting trial-order
+    # scores by a label array held 29 B, and a merge of the classes by a
+    # concatenate and an argsort 16 B more.
     trials = 1 << 18
     model = GaussianModel([0.0, 0.0], [[4.0, 3.2], [3.2, 4.0]])
     attack = AttackSpec(kind="A", am=1.0, targets=Coalition.of([0], 2))
@@ -216,7 +220,7 @@ def test_experiment_scratch_stays_under_40_bytes_per_trial(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak / trials <= 40
+    assert peak / trials <= 32
 
 
 def test_a_warmed_experiment_at_ten_sensors_stays_under_40_bytes_per_trial(monkeypatch):
@@ -251,25 +255,25 @@ def test_counting_after_the_sorts_allocates_under_5_percent_of_the_clean_class(m
     model = GaussianModel([0.0, 0.0], [[4.0, 3.2], [3.2, 4.0]])
     attack = AttackSpec(kind="A", am=1.0, targets=Coalition.of([0], 2))
     config = ExperimentConfig(model=model, attack=attack, trials=trials, seed=5)
-    phi, v, labels = simulate_scores(config)
-    n_clean = np.count_nonzero(~labels)
-    split_sorted = harness._split_sorted
-    sorted_bytes = []
+    exact_threshold = harness._exact_threshold
+    counted = []
 
-    def then_reset_peak(scores, labels):
-        classes = split_sorted(scores, labels)
-        sorted_bytes.append(tracemalloc.get_traced_memory()[0])
+    def measured(att, clean):
+        # the classes are sorted: what the count allocates from here on
+        before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        return classes
+        result = exact_threshold(att, clean)
+        counted.append((tracemalloc.get_traced_memory()[1] - before, clean.size))
+        return result
 
-    monkeypatch.setattr(harness, "_split_sorted", then_reset_peak)
+    monkeypatch.setattr(harness, "_exact_threshold", measured)
     with ThreadPoolExecutor(2) as two:
         monkeypatch.setattr(harness, "_POOL", two)
-        for scores in (phi, v):
-            tracemalloc.start()
-            try:
-                harness._optimize_exact(scores, labels)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak - sorted_bytes[-1] < 0.05 * n_clean * 8
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+        finally:
+            tracemalloc.stop()
+    assert len(counted) == 2  # phi, then v
+    for peak, n_clean in counted:
+        assert peak < 0.05 * n_clean * 8

@@ -1,6 +1,7 @@
 """Property tests over randomly drawn Gaussian models and labelled scores."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,11 +15,15 @@ from shaploc import (  # noqa: E402
     Coalition,
     DegenerateLabelsError,
     EmptyKeptSetError,
+    ErrorRateReport,
     ExperimentConfig,
     GaussianModel,
     GaussianValueFunction,
+    GridSpec,
     all_shapley,
+    binomial_ci,
     exact_shapley,
+    run_experiment,
     sampled_shapley,
     shapley_from_values,
     simulate_scores,
@@ -235,36 +240,101 @@ def test_optimizers_equal_the_reference_error_curve(drawn, lo, width, steps):
     )
 
 
+@pytest.mark.parametrize("mode", ["exact", GridSpec(0.0, 8.0, 301)])
+@pytest.mark.parametrize("chunk", [1, 5])
+@pytest.mark.parametrize("prior", [0.02, 0.98])
+def test_experiment_equals_the_reference_optimizers_on_the_simulated_scores(
+    monkeypatch, prior, chunk, mode
+):
+    # chunks of one trial hold one class each; chunks of five at these
+    # priors are mostly of one class, with a few mixed
+    model = GaussianModel([0.5, -1.0], [[2.0, 1.2], [1.2, 1.5]])
+    attack = AttackSpec(kind="A", am=2.5, targets=Coalition.of([0], 2))
+    config = ExperimentConfig(
+        model=model, attack=attack, trials=2003, attack_prior=prior, seed=21,
+        threshold_mode=mode,
+    )
+    monkeypatch.setattr(harness, "_TRIAL_CHUNK", chunk)
+    phi, v, labels = simulate_scores(config)
+    starts = np.arange(0, labels.size, chunk)
+    attacked = np.add.reduceat(labels, starts)
+    one_class = (attacked == 0) | (attacked == np.diff(starts, append=labels.size))
+    assert labels.any() and not labels.all()
+    assert one_class.all() if chunk == 1 else one_class.any() and not one_class.all()
+    # the compacted classes hold exactly the trial-order scores of each class
+    for (att, clean), scores in zip(harness._simulate_classes(config), (phi, v)):
+        assert np.array_equal(att, np.sort(scores[labels]))
+        assert np.array_equal(clean, np.sort(scores[~labels]))
+    want = []
+    for statistic, scores in (("shapley", phi), ("single-term", v)):
+        if mode == "exact":
+            tau, pe = reference_exact(scores, labels)
+        else:
+            tau, pe = reference_grid(scores, labels, mode.lo, mode.hi, mode.steps)
+        want.append(ErrorRateReport(statistic, tau, pe, binomial_ci(pe, labels.size), labels.size))
+    assert run_experiment(config) == tuple(want)
+
+
 def block_edge_scores(shape, n_clean, rng):
-    """(clean, attacked) scores whose sorted clean class crosses count blocks."""
+    """(clean, attacked) scores with a flat error curve across count blocks.
+
+    An attacked score lies between each clean value and the next, so every
+    clean cut errs as often as the first, the coarse pass keeps every block
+    and the fine pass counts all n_clean cuts.  In the tied shapes the
+    clean scores come in runs of 7 tied values, one run straddling the
+    first block edge, each run followed by as many attacked copies.  The
+    edge shape drops the attacked run below the run at the block edge (or
+    at the last clean score), so the minimum lies at that run's last copy.
+    """
     if shape == "continuous":
-        return rng.normal(size=n_clean), rng.normal(1.0, size=n_clean // 2)
+        clean = np.sort(rng.normal(size=n_clean))
+        gaps = np.diff(clean, append=clean[-1] + 1.0)
+        return clean, clean + gaps * (1.0 - rng.random(n_clean))
+    clean = np.arange(n_clean) // 7 * 2.0
     if shape == "tied":
-        return 0.5 * rng.integers(-6, 7, n_clean), 0.5 * rng.integers(-4, 9, n_clean // 3)
-    # runs of 7 tied clean values, one straddling the first block edge; the
-    # attacked scores start just above that run, so the best cut lies there
-    clean = np.arange(n_clean) // 7 * 1.0
+        return clean, clean + 1.0
     w = clean[min(n_clean, _COUNT_BLOCK) - 1]
-    return clean, w + 0.5 + rng.integers(0, 40, n_clean + 7) // 5
+    return clean, np.delete(clean + 1.0, np.flatnonzero(clean == w - 2.0))
 
 
 @pytest.mark.parametrize("shape", ["continuous", "tied", "edge"])
 @pytest.mark.parametrize("n_clean", [
     _COUNT_BLOCK - 1, _COUNT_BLOCK, _COUNT_BLOCK + 1, 2 * _COUNT_BLOCK + 1,
 ])
-def test_exact_counts_across_count_blocks(shape, n_clean):
+def test_exact_counts_across_count_blocks(monkeypatch, shape, n_clean):
     rng = np.random.default_rng([n_clean, len(shape)])
     clean, attacked = block_edge_scores(shape, n_clean, rng)
     if shape != "continuous" and n_clean > _COUNT_BLOCK:
-        edge = np.sort(clean)[_COUNT_BLOCK - 1 : _COUNT_BLOCK + 1]
+        edge = clean[_COUNT_BLOCK - 1 : _COUNT_BLOCK + 1]
         assert edge[0] == edge[1]  # a tied run straddles the block edge
     order = rng.permutation(clean.size + attacked.size)
     scores = np.concatenate((clean, attacked))[order]
     labels = (np.arange(scores.size) >= clean.size)[order]
-    tau, pe = _optimize_exact(scores, labels)
+    batches = []
+    run_all = harness._run_all
+
+    def recording(fn, items):
+        batches.append(len(items))
+        run_all(fn, items)
+
+    monkeypatch.setattr(harness, "_run_all", recording)
+    with ThreadPoolExecutor(2) as two:
+        if harness._POOL is None:
+            monkeypatch.setattr(harness, "_POOL", two)
+        tau, pe = _optimize_exact(scores, labels)
+    # the two sorts, then every cut in count blocks on the pool, unless
+    # they fit in one block, which the calling thread counts
+    blocks = -(-n_clean // _COUNT_BLOCK)
+    assert batches == [2] + [blocks] * (blocks > 1)
     assert (tau, pe) == reference_exact(scores, labels)
-    if shape == "edge":
-        assert tau == np.sort(clean)[min(n_clean, _COUNT_BLOCK) - 1] + 0.25
+    if shape == "continuous":
+        assert (tau, pe) == (0.5 * (clean[0] + attacked[0]), (n_clean - 1) / scores.size)
+    elif shape == "tied":
+        assert (tau, pe) == (0.5, (n_clean - 7) / scores.size)
+    else:
+        w = clean[min(n_clean, _COUNT_BLOCK) - 1]
+        errors = n_clean - 7 - np.count_nonzero(clean == w)
+        assert (tau, pe) == (w + 0.5, errors / scores.size)
 
 
 def placed_minimum(shape, n_clean, place, rng):
