@@ -45,6 +45,11 @@ class AttackSpec:
                 raise ValueError("type-C attack requires a finite um >= 0")
         elif self.um is not None:
             raise ValueError(f"um only applies to type-C attacks, not {self.kind}")
+        # the harness adds attacked * offset to every trial, so an offset that
+        # overflows to inf would turn the clean trials' zeros into NaN; the
+        # largest |ndtri| of a clipped uniform is 37.05, at 1e-300
+        if not np.isfinite(abs(self.am) + 38.0 * (self.sigma_a or 0.0) + (self.um or 0.0)):
+            raise ValueError("attack offsets would overflow float64")
 
 
 def offsets_from_uniforms(spec: AttackSpec, u: np.ndarray) -> np.ndarray:

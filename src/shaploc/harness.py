@@ -20,15 +20,17 @@ Philox stream keyed by the experiment seed, so results are reproducible
 trial by trial and independent of execution order.  Every chunk size, a
 chunk of one trial included, gives each trial the same bits.
 
-``run_experiment`` works class-major and never holds a label array.  Each
-chunk's worker writes the chunk's phi and v scores, the attacked trials'
-first, into the chunk's columns of one (2, trials) array, and records how
-many of its trials were attacked.  The calling thread then copies each
-statistic's attacked pieces into one new array and moves its clean pieces
-left within the statistic's row, in chunk order, and the four classes are
-sorted in place.  Thresholds depend only on the sorted classes, so they
-equal those of the trial-order scores and labels that ``simulate_scores``
-returns, and both paths score their chunks with ``_simulate_chunk``.
+``run_experiment`` works class-major and never holds a label array.  The
+calling thread allocates one (2, trials) array, a row for phi and one for
+v.  Each chunk's worker reserves, under one lock, its attacked columns
+from the front of the array and its clean columns from the back, and
+takes its phi and v scores straight into them.  When every chunk is done
+the two cursors meet, each row holds its attacked class before the split
+and its clean class after it, and the four classes are sorted in place.
+Thresholds depend only on the sorted classes, so they equal those of the
+trial-order scores and labels that ``simulate_scores`` returns, whatever
+order the chunks finished in, and both paths score their chunks with
+``_simulate_chunk``.
 
 Trial chunks, the four class sorts and the fine threshold counts of a
 span longer than one count block run on one thread pool per process,
@@ -36,18 +38,19 @@ sized by the CPUs this process may run on; numpy and scipy release the
 interpreter lock in that work.  Each thread that simulates chunks (a
 pool worker, or the calling thread where there is no pool) keeps two
 scratch buffers for its lifetime, of 2^14 x stride and 2^14 x n doubles,
-stride being the uniforms drawn per trial: the uniforms, then the
-Cholesky product, then the scoring rows and the two scores in the first,
-the normals and then the sensor-major observations in the second.  So a
-chunk reuses resident pages instead of faulting in fresh arrays, and a
-thread holds at most (stride + n) x 2^14 doubles of the widest model it
-has simulated, 9.5 MiB at n = 24 with 24 targets.  No view of them leaves
-the chunk path: every array handed to a caller is its own.  Workers
-write their results only into arrays the calling thread allocated,
-because freed worker temporaries stay resident in glibc's per-thread
-heaps, so a worker-allocated result would raise peak RSS even where the
-traced peak does not rise.  Results do not depend on the number of
-workers.
+stride being the uniforms drawn per trial: the uniforms, clipped in
+place once the labels and offsets are drawn, then the Cholesky product,
+each target's attack offset and the scoring rows and the two scores in
+the first, the normals and then the sensor-major observations in the
+second.  So a chunk reuses resident pages instead of faulting in fresh
+arrays, and a thread holds at most (stride + n) x 2^14 doubles of the
+widest model it has simulated, 9.5 MiB at n = 24 with 24 targets.  No
+view of them leaves the chunk path: every array handed to a caller is
+its own.  Workers write their results only into arrays the calling
+thread allocated, because freed worker temporaries stay resident in
+glibc's per-thread heaps, so a worker-allocated result would raise peak
+RSS even where the traced peak does not rise.  Results do not depend on
+the number of workers.
 """
 
 from __future__ import annotations
@@ -245,7 +248,12 @@ def _chunk_observations(
     The observations are sensor-major, (n, count), and live in this
     thread's scratch, as does the flat spare buffer of at least 4 * count
     doubles; both are overwritten by the thread's next chunk.  The labels
-    are the caller's.
+    are the caller's.  The labels and offsets are drawn from the raw
+    uniforms; only then are the uniforms clipped, in place, for ``ndtri``.
+    Each target's offset, finite by ``AttackSpec``'s checks, is injected
+    as ``attacked * offset``, so a clean trial adds a zero, which can
+    change only the sign of a zero observation and leaves ``x - mean`` bit
+    for bit the same.
     """
     # imported on first use: scipy.special takes longer to load than numpy
     # and shaploc together, and the explanation API never calls it
@@ -263,18 +271,22 @@ def _chunk_observations(
     )
     attacked = u[:, 0] < config.attack_prior
     offsets = offsets_from_uniforms(config.attack, u[:, 1 + n : k])
+    # the labels and offsets are new arrays, so every slot may be clipped in
+    # one contiguous pass; uniforms lie below 1, so the floor is the clip
+    np.maximum(u, 1e-300, out=u)
     z = narrow[: rows * n].reshape(rows, n)
-    np.clip(u[:, 1 : 1 + n], 1e-300, 1.0, out=z[:count])
+    ndtri(u[:, 1 : 1 + n], out=z[:count])
     z[count:] = z[:1]
-    ndtri(z, out=z)
-    # the labels and offsets are drawn, so the product may overwrite the uniforms
+    # the product may overwrite the uniforms, which are spent
     product = np.matmul(z, model.chol.T, out=wide[: rows * n].reshape(rows, n))
     # sensor-major, so the mean, the attack and the scoring run over contiguous rows
     xs = narrow[: n * count].reshape(n, count)
     xs[...] = product[:count].T
     xs += model.mean[:, None]
+    shift = wide[:count]  # the product is spent too
     for col, j in enumerate(config.attack.targets):
-        np.add(xs[j], offsets[:, col], out=xs[j], where=attacked)
+        np.multiply(attacked, offsets[:, col], out=shift)
+        xs[j] += shift
     return xs, attacked, wide
 
 
@@ -302,13 +314,14 @@ def _scoring_form(model: GaussianModel, i: int):
 
 
 def _simulate_chunk(
-    config: ExperimentConfig, start: int, count: int, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    config: ExperimentConfig, start: int, count: int, reserve=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(phi_scores, v_scores, attacked labels) for trials start..start+count-1.
 
-    The scores are new arrays in trial order or, given ``out``, the two
-    rows of ``out``, a (2, count) array, written class-major: the attacked
-    trials' scores first, then the clean trials', each in trial order.
+    The scores are new arrays in trial order.  Given ``reserve``, the chunk
+    instead calls ``reserve(attacked, clean)`` with its two class counts,
+    takes each class's phi and v scores, in trial order, into the
+    (2, attacked) and (2, clean) arrays it returns, and returns nothing.
     Scoring is elementwise over trials, in an order fixed by n, so a
     trial's scores do not depend on the chunk.
     """
@@ -330,15 +343,14 @@ def _simulate_chunk(
     np.multiply(d[i], d[i], out=v)
     v *= half_precision
     v += half_log_var
-    if out is None:
+    if reserve is None:
         return phi.copy(), v.copy(), attacked
     attacked_at = np.flatnonzero(attacked)
     clean_at = np.flatnonzero(np.logical_not(attacked))
-    split = attacked_at.size
-    for scores, dst in zip((phi, v), out):
-        scores.take(attacked_at, out=dst[:split])
-        scores.take(clean_at, out=dst[split:])
-    return out[0], out[1], attacked
+    for at, dst in zip((attacked_at, clean_at), reserve(attacked_at.size, clean_at.size)):
+        phi.take(at, out=dst[0])
+        v.take(at, out=dst[1])
+    return None
 
 
 def simulate_scores(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -362,37 +374,37 @@ def simulate_scores(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, n
 def _simulate_classes(config: ExperimentConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """[sorted attacked scores, sorted clean scores] of phi, and of v.
 
-    Each chunk's worker writes its scores class-major into the chunk's
-    columns of one (2, trials) array.  Then, per statistic, the attacked
-    pieces are copied into a new array and the clean pieces moved left
-    into the statistic's own row, both in chunk order, so the classes hold
-    their trials in trial order before the sorts.
+    The classes are views of one (2, trials) array, phi's row and v's.
+    Each chunk's worker reserves, under one lock, its attacked columns from
+    the front of the array and its clean columns from the back, and takes
+    its scores straight into them.  When every chunk is done the two
+    cursors meet at the split, the attacked trials before it and the clean
+    ones after.  Where a chunk's columns lie depends on the order in which
+    the chunks finished, but the classes are sorted before anything counts
+    them.
     """
     chunk = _TRIAL_CHUNK
     m = config.trials
-    starts = range(0, m, chunk)
     scores = np.empty((2, m))
-    attacked = np.empty(len(starts), dtype=np.intp)
+    front, back = 0, m  # the attacked class grows from the front, the clean from the back
+    lock = threading.Lock()
     _scoring_form(config.model, config.sensor_under_test)
 
-    def fill(c: int) -> None:
-        start = starts[c]
-        stop = min(start + chunk, m)
-        labels = _simulate_chunk(config, start, stop - start, scores[:, start:stop])[2]
-        attacked[c] = np.count_nonzero(labels)
+    def reserve(attacked: int, clean: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal front, back
+        with lock:
+            a, front = front, front + attacked
+            back -= clean
+            c = back
+        return scores[:, a : a + attacked], scores[:, c : c + clean]
 
-    _run_all(fill, range(len(starts)))
-    classes = []
-    for row in scores:
-        att = np.empty(int(attacked.sum()))
-        a = k = 0
-        for start, n_att in zip(starts, attacked.tolist()):
-            split, stop = start + n_att, min(start + chunk, m)
-            att[a : a + n_att] = row[start:split]
-            # a move to the left: numpy copies overlapping 1-d slices in order
-            row[k : k + stop - split] = row[split:stop]
-            a, k = a + n_att, k + stop - split
-        classes += (att, row[:k])
+    def fill(start: int) -> None:
+        _simulate_chunk(config, start, min(chunk, m - start), reserve)
+
+    _run_all(fill, range(0, m, chunk))
+    if front != back:
+        raise RuntimeError(f"the class cursors did not meet: {front} != {back}")
+    classes = [part for row in scores for part in (row[:front], row[front:])]
     _sort_classes(classes)
     return classes[:2], classes[2:]
 

@@ -28,6 +28,26 @@ def test_spec_validation():
         AttackSpec(kind="A", am=1.0, targets=Coalition(0, 2))
 
 
+def test_offsets_that_could_overflow_are_rejected():
+    # the harness adds attacked * offset to every trial, and a clean trial's
+    # zero times an infinite offset would be NaN
+    with pytest.raises(ValueError, match="overflow"):
+        AttackSpec(kind="B", am=0.0, targets=T1, sigma_a=1e307)
+    with pytest.raises(ValueError, match="overflow"):
+        AttackSpec(kind="C", am=-1e308, targets=T1, um=1e308)
+    model = GaussianModel([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
+    extremes = np.array([[0.0], [1e-300], [0.5], [1.0 - 2.0**-53]])
+    for attack in (
+        AttackSpec(kind="B", am=0.0, targets=T1, sigma_a=4e306),
+        AttackSpec(kind="C", am=-8e307, targets=T1, um=8e307),
+    ):
+        assert np.isfinite(offsets_from_uniforms(attack, extremes)).all()
+        config = ExperimentConfig(model=model, attack=attack, trials=2000, seed=1)
+        xs, attacked = _trial_observations(config, 0, 2000)
+        assert 0 < np.count_nonzero(attacked) < 2000
+        assert np.isfinite(xs[~attacked]).all()
+
+
 def test_targets_must_be_a_coalition():
     # refused when the spec is built, not later inside ExperimentConfig
     for bad in ([0], (0,), {0}, 1, None):

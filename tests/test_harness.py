@@ -451,11 +451,11 @@ def test_chunk_results_never_share_the_threads_kept_scratch():
         assert all(np.array_equal(a, b) for a, b in zip(got, copies))
 
 
-def reference_observations(config, start, count):
+def reference_observations(config, start, count, uniforms=_trial_uniforms):
     """Trials built the plain way: trial-major rows, then a masked attack add."""
     n = config.model.n
     k, stride = _slot_count(config)
-    u = _trial_uniforms(config.seed, stride, start, count)
+    u = uniforms(config.seed, stride, start, count)
     attacked = u[:, 0] < config.attack_prior
     z = ndtri(np.clip(u[:, 1 : 1 + n], 1e-300, 1.0))
     if count == 1:  # the matrix-matrix BLAS path, as in the harness
@@ -488,6 +488,64 @@ def test_injection_matches_the_trial_major_reference(kind, targets):
         assert np.array_equal(xs[~attacked], clean[~attacked])
         others = [j for j in range(2) if j not in targets]
         assert np.array_equal(xs[:, others], clean[:, others])
+
+
+def reference_scores(config, xs):
+    """(phi, v) of trial-major observations, in the harness's order of operations."""
+    i = config.sensor_under_test
+    c, u, half_precision, half_log_var = harness._scoring_form(config.model, i)
+    d = xs - config.model.mean
+    phi = np.zeros(len(xs))
+    for a, coeffs in enumerate(u):
+        row = d[:, a] * coeffs[a]
+        for b in range(a + 1, len(u)):
+            row = row + d[:, b] * coeffs[b]
+        phi = phi + row * d[:, a]
+    return phi + c, d[:, i] * d[:, i] * half_precision + half_log_var
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "C"])
+@pytest.mark.parametrize("prior", [0.5, 1e-300])
+def test_a_zero_uniform_is_clipped_only_for_the_normals(monkeypatch, kind, prior):
+    # Philox can draw exactly 0.0.  The labels and the offsets read the raw
+    # uniforms, and only ndtri reads them clipped to 1e-300.  At a prior of
+    # 1e-300 a zero label slot is attacked, where a clipped one is clean.
+    model = GaussianModel([0.5, -2.0], [[2.25, -0.6], [-0.6, 0.5625]])
+    attack = AttackSpec(
+        kind=kind, am=1.25, targets=Coalition.of([0, 1], 2),
+        sigma_a=0.7 if kind == "B" else None, um=2.0 if kind == "C" else None,
+    )
+    config = ExperimentConfig(
+        model=model, attack=attack, sensor_under_test=1, trials=400, attack_prior=prior,
+        seed=31,
+    )
+    k, _ = _slot_count(config)
+
+    def zeroed(seed, stride, start, count, out=None):
+        # zero label, normal, offset and then every used slot, trial by trial
+        u = _trial_uniforms(seed, stride, start, count, out=out)
+        u[0::4, 0] = 0.0
+        u[1::4, 1:3] = 0.0
+        u[2::4, 3:k] = 0.0
+        u[3::4, :k] = 0.0
+        return u
+
+    monkeypatch.setattr(harness, "_trial_uniforms", zeroed)
+    for start, count in ((0, 300), (17, 1)):
+        want, want_attacked, _ = reference_observations(config, start, count, zeroed)
+        assert want_attacked[::4].all() and want_attacked[3::4].all()
+        if prior < 1e-299:
+            assert np.count_nonzero(want_attacked) == len(range(0, count, 4)) + len(
+                range(3, count, 4)
+            )
+        xs, attacked = _trial_observations(config, start, count)
+        assert np.array_equal(attacked, want_attacked)
+        assert np.array_equal(xs, want)
+        phi, v, attacked = _simulate_chunk(config, start, count)
+        want_phi, want_v = reference_scores(config, want)
+        assert np.array_equal(attacked, want_attacked)
+        assert np.array_equal(phi, want_phi)
+        assert np.array_equal(v, want_v)
 
 
 def test_linear_statistic_reaches_the_bayes_error_on_table2():

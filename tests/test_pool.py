@@ -146,17 +146,18 @@ def test_a_one_cpu_process_prints_the_pooled_csv(pool, tmp_path):
     assert serial.read_bytes() == pooled.read_bytes()
 
 
-def test_a_failing_chunk_fails_only_its_experiment(pool, monkeypatch):
+def run_a_suite_with_a_failing_chunk(monkeypatch):
+    """Threads that ran the failing chunk, after checking that only its row failed."""
     failed_on = []
     simulate_chunk = harness._simulate_chunk
 
-    def fail_second_chunk(config, start, count, out=None):
-        # run_experiment's workers write their chunks class-major into ``out``
-        assert out is not None
+    def fail_second_chunk(config, start, count, reserve=None):
+        # run_experiment's workers reserve their class slices through ``reserve``
+        assert reserve is not None
         if config.attack.am == 2.0 and start == _TRIAL_CHUNK:
             failed_on.append(threading.current_thread())
             raise RuntimeError("chunk failed")
-        return simulate_chunk(config, start, count, out)
+        return simulate_chunk(config, start, count, reserve)
 
     monkeypatch.setattr(harness, "_simulate_chunk", fail_second_chunk)
     trials = 3 * _TRIAL_CHUNK
@@ -164,11 +165,59 @@ def test_a_failing_chunk_fails_only_its_experiment(pool, monkeypatch):
         (name, ExperimentSpec(attack_type="A", am=am, trials=trials))
         for name, am in (("first", 1.0), ("bad", 2.0), ("last", 3.0))
     ))
+    want = [run_experiment(spec.to_config(0)) for _, spec in cfg.experiments[::2]]
     status, rows = run_suite(cfg)
     assert status == 2
     assert [row["name"] for row in rows] == ["first", "bad FAILED: chunk failed", "last"]
     assert rows[0]["Pe_v"] is not None and rows[2]["Pe_v"] is not None
+    # the failed experiment's reservations do not reach the next experiment
+    assert [run_experiment(spec.to_config(0)) for _, spec in cfg.experiments[::2]] == want
+    return failed_on
+
+
+def test_a_failing_chunk_fails_only_its_experiment(pool, monkeypatch):
+    failed_on = run_a_suite_with_a_failing_chunk(monkeypatch)
     assert failed_on and threading.main_thread() not in failed_on
+
+
+def in_order(order):
+    """A serial ``_run_all`` that calls its items in the given order."""
+
+    def run_all(fn, items):
+        items = list(items)
+        if order == "reversed":
+            items.reverse()
+        else:  # the odd items, then the even ones
+            items = items[1::2] + items[::2]
+        for item in items:
+            fn(item)
+
+    return run_all
+
+
+@pytest.mark.parametrize("order", ["reversed", "interleaved", "three workers"])
+@pytest.mark.parametrize(
+    "kind, mode", [("A", "exact"), ("C", GridSpec(0.0, 12.0, 301))], ids=["A-exact", "C-grid"]
+)
+def test_chunk_completion_order_changes_no_result(monkeypatch, order, kind, mode):
+    # Each chunk reserves its class slices when it finishes scoring, so the
+    # order of the chunks decides where each one's scores lie in its class
+    config = three_sensor_config(kind, mode, trials=9 * 997 + 5)
+    monkeypatch.setattr(harness, "_TRIAL_CHUNK", 997)
+    monkeypatch.setattr(harness, "_POOL", None)
+    phi, v, labels = simulate_scores(config)
+    want = run_experiment(config)
+    with ThreadPoolExecutor(3) as three:
+        if order == "three workers":
+            monkeypatch.setattr(harness, "_POOL", three)
+        else:
+            monkeypatch.setattr(harness, "_run_all", in_order(order))
+        for (att, clean), scores in zip(harness._simulate_classes(config), (phi, v)):
+            assert np.array_equal(att, np.sort(scores[labels]))
+            assert np.array_equal(clean, np.sort(scores[~labels]))
+        assert run_experiment(config) == want
+        monkeypatch.setattr(harness, "_TRIAL_CHUNK", _TRIAL_CHUNK)
+        assert run_a_suite_with_a_failing_chunk(monkeypatch)
 
 
 def _experiment_in_child(config, conn):
@@ -201,12 +250,14 @@ def test_a_forked_child_runs_experiments():
     assert got == want
 
 
-def test_experiment_scratch_stays_under_32_bytes_per_trial(monkeypatch):
-    # Two warmed workers, as on a 2-core host.  The class-major phi and v
-    # scores hold 16 B a trial, and the two attacked classes, copied out
-    # for the sorts, about 8 more: 24 B in all.  Splitting trial-order
-    # scores by a label array held 29 B, and a merge of the classes by a
-    # concatenate and an argsort 16 B more.
+def test_experiment_scratch_stays_under_20_bytes_per_trial(monkeypatch):
+    # Two warmed workers, as on a 2-core host.  The phi and v scores hold
+    # 16 B a trial, and the four classes are views of them, which the
+    # chunks fill in place; each chunk's two index arrays and the counts'
+    # scratch bring the peak to about 17.8 B.  Attacked classes copied out
+    # for the sorts held 24 B, splitting trial-order scores by a label
+    # array 29 B, and a merge of the classes by a concatenate and an
+    # argsort 16 B more.
     trials = 1 << 18
     model = GaussianModel([0.0, 0.0], [[4.0, 3.2], [3.2, 4.0]])
     attack = AttackSpec(kind="A", am=1.0, targets=Coalition.of([0], 2))
@@ -220,7 +271,7 @@ def test_experiment_scratch_stays_under_32_bytes_per_trial(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak / trials <= 32
+    assert peak / trials <= 20
 
 
 def test_a_warmed_experiment_at_ten_sensors_stays_under_40_bytes_per_trial(monkeypatch):

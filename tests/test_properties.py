@@ -261,7 +261,7 @@ def test_experiment_equals_the_reference_optimizers_on_the_simulated_scores(
     one_class = (attacked == 0) | (attacked == np.diff(starts, append=labels.size))
     assert labels.any() and not labels.all()
     assert one_class.all() if chunk == 1 else one_class.any() and not one_class.all()
-    # the compacted classes hold exactly the trial-order scores of each class
+    # the classes the chunks filled hold exactly the trial-order scores of each class
     for (att, clean), scores in zip(harness._simulate_classes(config), (phi, v)):
         assert np.array_equal(att, np.sort(scores[labels]))
         assert np.array_equal(clean, np.sort(scores[~labels]))
