@@ -46,25 +46,29 @@ class AttackSpec:
         elif self.um is not None:
             raise ValueError(f"um only applies to type-C attacks, not {self.kind}")
         # the harness adds attacked * offset to every trial, so an offset that
-        # overflows to inf would turn the clean trials' zeros into NaN; the
-        # largest |ndtri| of a clipped uniform is 37.05, at 1e-300
+        # overflows to inf would turn the clean trials' zeros into NaN.  numpy's
+        # ziggurat draws its tail as r - ln(1 - U) / r with r = 3.654 and
+        # 1 - U >= 2^-53, so |z| <= r + 53 ln(2) / r = 13.7 < 38
         if not np.isfinite(abs(self.am) + 38.0 * (self.sigma_a or 0.0) + (self.um or 0.0)):
             raise ValueError("attack offsets would overflow float64")
 
 
-def offsets_from_uniforms(spec: AttackSpec, u: np.ndarray) -> np.ndarray:
-    """Attack offsets from pre-drawn uniforms, one column per target sensor.
+def draw_offsets(spec: AttackSpec, rng, out: np.ndarray) -> np.ndarray:
+    """Attack offsets of ``out.shape[0]`` trials, one column per target sensor.
 
-    Inverse-CDF mapping so the Monte Carlo harness can budget exactly one
-    uniform per target per trial.  Shape of ``u`` is (trials, #targets).
-    A constant offset comes back as a read-only broadcast of ``am``; no
-    result shares memory with ``u``.
+    Type B draws ``am + sigma_a * z`` from ``rng.standard_normal`` and type
+    C ``am + um * u`` from ``rng.random``, #targets values per trial in
+    trial order, into ``out`` of shape (trials, #targets), and returns it.
+    A constant offset draws nothing, leaves ``out`` alone and comes back as
+    a read-only broadcast of ``am``.
     """
     if spec.kind == "A" or (spec.kind == "B" and spec.sigma_a == 0.0):
-        return np.broadcast_to(np.asarray(spec.am, u.dtype), u.shape)
+        return np.broadcast_to(np.float64(spec.am), out.shape)
     if spec.kind == "B":
-        from scipy.special import ndtri  # on first use, as in harness._chunk_observations
-
-        z = ndtri(np.clip(u, 1e-300, 1.0))
-        return spec.am + spec.sigma_a * z
-    return spec.am + spec.um * u
+        rng.standard_normal(out=out)
+        out *= spec.sigma_a
+    else:
+        rng.random(out=out)
+        out *= spec.um
+    out += spec.am
+    return out

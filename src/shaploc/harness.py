@@ -15,10 +15,12 @@ term repeats the coalition kernel's arithmetic for {i}, so it equals the
 kernel's score bit for bit.  The explanation API (``all_shapley`` and
 friends) scores arbitrary observations and stays on the kernel.
 
-Randomness is counter-based: trial j always reads the same slots of a
-Philox stream keyed by the experiment seed, so results are reproducible
-trial by trial and independent of execution order.  Every chunk size, a
-chunk of one trial included, gives each trial the same bits.
+Randomness is keyed by block: trial j reads entry j mod 2^14 of three
+SFC64 streams, seeded by ``SeedSequence(seed, spawn_key=(j // 2^14,
+role))``, one each for its label uniform, its n standard normals (numpy's
+ziggurat) and its attack offsets.  Results are reproducible trial by trial
+and independent of execution order: every chunk size, a chunk of one trial
+included, gives each trial the same bits.
 
 ``run_experiment`` works class-major and never holds a label array.  The
 calling thread allocates one (2, trials) array, a row for phi and one for
@@ -34,17 +36,17 @@ order the chunks finished in, and both paths score their chunks with
 
 Trial chunks, the four class sorts and the fine threshold counts of a
 span longer than one count block run on one thread pool per process,
-sized by the CPUs this process may run on; numpy and scipy release the
+sized by the CPUs this process may run on; numpy releases the
 interpreter lock in that work.  Each thread that simulates chunks (a
 pool worker, or the calling thread where there is no pool) keeps two
-scratch buffers for its lifetime, of 2^14 x stride and 2^14 x n doubles,
-stride being the uniforms drawn per trial: the uniforms, clipped in
-place once the labels and offsets are drawn, then the Cholesky product,
-each target's attack offset and the scoring rows and the two scores in
-the first, the normals and then the sensor-major observations in the
+scratch buffers for its lifetime, of 2^14 x max(n + t, 4) and 2^14 x n
+doubles, t being the number of attacked sensors: the label uniforms,
+then the Cholesky product with the attack offsets behind it, then each
+target's injected offset and the scoring rows and the two scores in the
+first, the normals and then the sensor-major observations in the
 second.  So a chunk reuses resident pages instead of faulting in fresh
-arrays, and a thread holds at most (stride + n) x 2^14 doubles of the
-widest model it has simulated, 9.5 MiB at n = 24 with 24 targets.  No
+arrays, and a thread holds at most (max(n + t, 4) + n) x 2^14 doubles
+of the widest model it has simulated, 9 MiB at n = 24 with 24 targets.  No
 view of them leaves the chunk path: every array handed to a caller is
 its own.  Workers write their results only into arrays the calling
 thread allocated, because freed worker temporaries stay resident in
@@ -65,7 +67,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .attacks import AttackSpec, offsets_from_uniforms
+from .attacks import AttackSpec, draw_offsets
 from .gaussian import _LOG_2PI, GaussianModel
 from .shapley import gaussian_shapley_form
 
@@ -74,6 +76,12 @@ Z_95 = 1.96
 # the size of its scratch, and clean cuts per threshold-count block
 _TRIAL_CHUNK = 1 << 14
 _COUNT_BLOCK = 1 << 14
+# part of the definition of the trial stream, not a unit of work: trial j
+# draws from the generators of block j // _STREAM_BLOCK, one per role, so
+# changing it changes every trial, and a chunk of any size, _TRIAL_CHUNK
+# included, gives each trial the same bits
+_STREAM_BLOCK = 1 << 14
+_LABELS, _NORMALS, _OFFSETS = range(3)
 # clean cuts per block of the coarse threshold pass, and the fewest that
 # the fine pass counts at once
 _COARSE_STEP = 64
@@ -162,7 +170,7 @@ class ExperimentConfig:
         if not 0.0 < self.attack_prior < 1.0:
             raise ValueError("attack prior must lie strictly inside (0, 1)")
         if not 0 <= self.seed < 1 << 128:
-            raise ValueError("seed must lie in [0, 2**128), the Philox key range")
+            raise ValueError("seed must lie in [0, 2**128)")
         if not 0 <= self.sensor_under_test < self.model.n:
             raise ValueError(
                 f"sensor under test {self.sensor_under_test} out of range"
@@ -196,24 +204,38 @@ def binomial_ci(pe: float, m: int) -> float:
 # trial simulation
 
 
-def _slot_count(config: ExperimentConfig) -> tuple[int, int]:
-    """(used slots, padded stride) of uniforms per trial.
+class _TrialStream:
+    """One role's draws for trials start..start+count-1, in trial order.
 
-    Layout: slot 0 decides attacked/clean, slots 1..n seed the clean draw,
-    then one slot per target sensor for the attack offset.  The stride is
-    padded to a multiple of 4 because the Philox counter advances in
-    four-draw blocks.
+    ``random`` and ``standard_normal`` fill a C-contiguous ``out`` whose
+    first axis is the chunk's trials, k values a trial.  Trial j's values
+    are entry j mod _STREAM_BLOCK, k draws an entry, of the generator for
+    this role of block j // _STREAM_BLOCK.  A block's generator is built
+    only when something is drawn, and a chunk that starts inside a block
+    draws the block's prefix and drops it, so every chunk gives each trial
+    the same bits.
     """
-    k = 1 + config.model.n + len(config.attack.targets)
-    return k, -(-k // 4) * 4
 
+    def __init__(self, seed: int, role: int, start: int, count: int) -> None:
+        self._seed, self._role, self._start, self._count = seed, role, start, count
 
-def _trial_uniforms(
-    seed: int, stride: int, start: int, count: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    bg = np.random.Philox(key=seed)
-    bg.advance(start * stride // 4)
-    return np.random.Generator(bg).random((count, stride), out=out)
+    def random(self, out: np.ndarray) -> None:
+        self._fill("random", out)
+
+    def standard_normal(self, out: np.ndarray) -> None:
+        self._fill("standard_normal", out)
+
+    def _fill(self, method: str, out: np.ndarray) -> None:
+        per_trial = out.size // self._count
+        start, stop = self._start, self._start + self._count
+        for block in range(start // _STREAM_BLOCK, -(-stop // _STREAM_BLOCK)):
+            first = block * _STREAM_BLOCK
+            lo, hi = max(start, first), min(stop, first + _STREAM_BLOCK)
+            seeds = np.random.SeedSequence(self._seed, spawn_key=(block, self._role))
+            draw = getattr(np.random.Generator(np.random.SFC64(seeds)), method)
+            if lo > first:
+                draw((lo - first) * per_trial)
+            draw(out=out[lo - start : hi - start])
 
 
 # the two scratch buffers each thread that simulates chunks keeps
@@ -248,43 +270,39 @@ def _chunk_observations(
     The observations are sensor-major, (n, count), and live in this
     thread's scratch, as does the flat spare buffer of at least 4 * count
     doubles; both are overwritten by the thread's next chunk.  The labels
-    are the caller's.  The labels and offsets are drawn from the raw
-    uniforms; only then are the uniforms clipped, in place, for ``ndtri``.
-    Each target's offset, finite by ``AttackSpec``'s checks, is injected
-    as ``attacked * offset``, so a clean trial adds a zero, which can
-    change only the sign of a zero observation and leaves ``x - mean`` bit
-    for bit the same.
+    are the caller's.  A trial is attacked when its label uniform lies
+    below the prior.  Each target's offset, finite by ``AttackSpec``'s
+    checks, is injected as ``attacked * offset``, so a clean trial adds a
+    zero, which can change only the sign of a zero observation and leaves
+    ``x - mean`` bit for bit the same.
     """
-    # imported on first use: scipy.special takes longer to load than numpy
-    # and shaploc together, and the explanation API never calls it
-    from scipy.special import ndtri
-
     model = config.model
     n = model.n
-    k, stride = _slot_count(config)
+    targets = config.attack.targets
+    t = len(targets)
     # a one-row product would take BLAS's matrix-vector path, which rounds
     # differently from the matrix-matrix path of larger chunks: run two rows
     rows = max(count, 2)
-    wide, narrow = _chunk_buffers(rows, stride, n)
-    u = _trial_uniforms(
-        config.seed, stride, start, count, out=wide[: count * stride].reshape(count, stride)
-    )
-    attacked = u[:, 0] < config.attack_prior
-    offsets = offsets_from_uniforms(config.attack, u[:, 1 + n : k])
-    # the labels and offsets are new arrays, so every slot may be clipped in
-    # one contiguous pass; uniforms lie below 1, so the floor is the clip
-    np.maximum(u, 1e-300, out=u)
+    wide, narrow = _chunk_buffers(rows, max(n + t, 4), n)
+    labels = wide[:count]
+    _TrialStream(config.seed, _LABELS, start, count).random(out=labels)
+    attacked = labels < config.attack_prior
     z = narrow[: rows * n].reshape(rows, n)
-    ndtri(u[:, 1 : 1 + n], out=z[:count])
+    _TrialStream(config.seed, _NORMALS, start, count).standard_normal(out=z[:count])
     z[count:] = z[:1]
-    # the product may overwrite the uniforms, which are spent
+    # the offsets sit behind the product, which may overwrite the label uniforms
+    offsets = draw_offsets(
+        config.attack,
+        _TrialStream(config.seed, _OFFSETS, start, count),
+        wide[rows * n : rows * n + count * t].reshape(count, t),
+    )
     product = np.matmul(z, model.chol.T, out=wide[: rows * n].reshape(rows, n))
     # sensor-major, so the mean, the attack and the scoring run over contiguous rows
     xs = narrow[: n * count].reshape(n, count)
     xs[...] = product[:count].T
     xs += model.mean[:, None]
-    shift = wide[:count]  # the product is spent too
-    for col, j in enumerate(config.attack.targets):
+    shift = wide[:count]  # the product is spent
+    for col, j in enumerate(targets):
         np.multiply(attacked, offsets[:, col], out=shift)
         xs[j] += shift
     return xs, attacked, wide
@@ -497,8 +515,14 @@ def _exact_threshold(att: np.ndarray, clean: np.ndarray) -> tuple[float, float]:
         return -math.inf, n_clean / total
     a = least - (n_clean - 1 - best)  # attacked scores at or below w
     above = np.concatenate((clean[best + 1 : best + 2], att[a : a + 1]))
-    tau = 0.5 * (clean[best] + above.min()) if above.size else math.inf
-    return float(tau), least / total
+    if not above.size:
+        return math.inf, least / total
+    w, nearest = float(clean[best]), float(above.min())
+    tau = 0.5 * (w + nearest)
+    # no score lies strictly between w and the nearest score above it, so w
+    # itself is the cut wherever the midpoint is not below that score: when
+    # it is +inf, when the sum overflows, or when the two are adjacent floats
+    return (tau if tau < nearest else w), least / total
 
 
 def _grid_threshold(
@@ -543,19 +567,22 @@ def run_experiment(
 
 
 def analytic_pe_gaussian(sigma: float, am: float, attack_prior: float = 0.5) -> float:
-    """Minimum error probability of the single-term test, zero-mean type-A case.
+    """Minimum error probability of the single-term test under a type-A attack.
 
-    With x ~ N(0, sigma^2) clean and N(am, sigma^2) attacked, thresholding
-    v(x) = -ln f(x) is equivalent to thresholding |x|, so the error
-    probability reduces to a one-dimensional function of the cut t,
-    minimized here by golden-section search.
+    The single term v({i}, x) = -ln f_i(x_i) reads d = x_i - mu_i alone,
+    whatever the other sensors and their correlations: d ~ N(0, sigma^2)
+    clean and N(am, sigma^2) when sensor i is attacked.  Thresholding v is
+    thresholding |d|, so the error probability reduces to a one-dimensional
+    function of the cut t, minimized here by golden-section search.
     """
     if not (0 < sigma < math.inf and math.isfinite(am)):
         raise ValueError("sigma must be positive and finite, and am finite")
     p = attack_prior
     if not 0.0 < p < 1.0:
         raise ValueError("attack prior must lie strictly inside (0, 1)")
-    from scipy.special import ndtr
+
+    def ndtr(x: float) -> float:
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
     def pe(t: float) -> float:
         false_alarm = 2.0 * (1.0 - ndtr(t / sigma))

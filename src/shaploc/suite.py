@@ -131,16 +131,14 @@ class ExperimentSpec:
         )
 
     def analytic_pe(self) -> float | None:
-        """Closed-form error probability where the oracle applies."""
+        """Closed-form single-term error probability where the oracle applies.
+
+        That is every type-A experiment that attacks the sensor under test,
+        at any rho and means: the single term reads that sensor alone.
+        """
         i = self.sensor_under_test
-        mu_i = self.mu1 if i == 1 else self.mu2
-        sigma_i = self.sigma1 if i == 1 else self.sigma2
-        if (
-            self.attack_type == "A"
-            and self.rho == 0.0
-            and mu_i == 0.0
-            and i in self.targets
-        ):
+        if self.attack_type == "A" and i in self.targets:
+            sigma_i = self.sigma1 if i == 1 else self.sigma2
             return analytic_pe_gaussian(sigma_i, self.am, self.attack_prior)
         return None
 

@@ -1,5 +1,5 @@
-"""A fresh process explains observations on numpy alone; scipy loads on the
-harness's first use, which may be on a pool worker."""
+"""A fresh process explains observations, runs the Monte Carlo harness and
+prints the presets on numpy alone."""
 
 import os
 import pickle
@@ -12,13 +12,13 @@ from shaploc import AttackSpec, Coalition, ExperimentConfig, GaussianModel, run_
 from shaploc.harness import _TRIAL_CHUNK
 
 
-def _run_fresh(script: str, stdin: bytes = b"") -> str:
+def _run_fresh(script: str, stdin: bytes = b"", *args: str) -> str:
     src = str(Path(shaploc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     done = subprocess.run(
-        [sys.executable, "-W", "error", "-c", script],
+        [sys.executable, "-W", "error", "-c", script, *args],
         env=env, input=stdin, capture_output=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr.decode()
@@ -44,36 +44,37 @@ def test_the_explanation_path_and_bench_load_no_scipy():
     assert _run_fresh(script).startswith("n,t_shapley_s")
 
 
-def test_scipy_first_loaded_on_a_pool_worker_gives_the_same_reports():
-    config = ExperimentConfig(
-        model=GaussianModel(
-            [0.5, -1.0, 2.0], [[2.0, 0.6, -0.3], [0.6, 1.0, 0.4], [-0.3, 0.4, 1.5]]
-        ),
-        attack=AttackSpec(kind="B", am=1.5, targets=Coalition.of([0, 1], 3), sigma_a=0.7),
-        sensor_under_test=1,
-        trials=3 * _TRIAL_CHUNK,  # three chunks: both workers take one
-        seed=77,
+def test_the_harness_and_the_presets_load_no_scipy(tmp_path):
+    model = GaussianModel(
+        [0.5, -1.0, 2.0], [[2.0, 0.6, -0.3], [0.6, 1.0, 0.4], [-0.3, 0.4, 1.5]]
     )
-    # the child records which thread asks for scipy.special first
+    targets = Coalition.of([0, 1], 3)
+    configs = [
+        ExperimentConfig(
+            model=model, attack=attack, sensor_under_test=1,
+            trials=3 * _TRIAL_CHUNK,  # three chunks: both workers take one
+            seed=77,
+        )
+        for attack in (
+            AttackSpec(kind="A", am=1.5, targets=targets),
+            AttackSpec(kind="B", am=1.5, targets=targets, sigma_a=0.7),
+            AttackSpec(kind="C", am=1.5, targets=targets, um=2.0),
+        )
+    ]
     script = (
-        "import pickle, sys, threading\n"
+        "import pickle, sys\n"
         "from concurrent.futures import ThreadPoolExecutor\n"
-        "from shaploc import harness, run_experiment\n"
-        "\n"
-        "class Watch:\n"
-        "    threads = []\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'scipy.special':\n"
-        "            self.threads.append(threading.current_thread().name)\n"
-        "\n"
-        "sys.meta_path.insert(0, Watch())\n"
-        "config = pickle.load(sys.stdin.buffer)\n"
-        "assert 'scipy' not in sys.modules\n"
+        "from shaploc import cli, harness, run_experiment\n"
+        "configs = pickle.load(sys.stdin.buffer)\n"
         "with ThreadPoolExecutor(2) as two:\n"
         "    harness._POOL = two\n"
-        "    print(repr(run_experiment(config)))\n"
-        "assert len(Watch.threads) == 1, Watch.threads\n"
-        "assert Watch.threads[0] != threading.main_thread().name, Watch.threads\n"
+        "    for config in configs:\n"
+        "        print(repr(run_experiment(config)))\n"
+        "    for table in ('table1', 'table2'):\n"
+        "        out = f'{sys.argv[1]}/{table}.csv'\n"
+        "        assert cli.main(['preset', table, '--trials', '2000', '--out', out]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
     )
-    got = _run_fresh(script, pickle.dumps(config))
-    assert got == repr(run_experiment(config)) + "\n"
+    got = _run_fresh(script, pickle.dumps(configs), str(tmp_path))
+    assert got == "".join(repr(run_experiment(config)) + "\n" for config in configs)

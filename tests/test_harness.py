@@ -1,9 +1,10 @@
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from shaploc import (
     AttackSpec,
@@ -20,14 +21,11 @@ from shaploc import (
     simulate_scores,
 )
 from shaploc import harness
-from shaploc.attacks import offsets_from_uniforms
 from shaploc.harness import (
     _optimize_exact,
     _optimize_grid,
     _simulate_chunk,
-    _slot_count,
     _trial_observations,
-    _trial_uniforms,
 )
 from shaploc.suite import experiment_seed
 
@@ -169,6 +167,53 @@ def test_degenerate_labels_rejected():
         _optimize_exact(*arrays_from([], [1, 2]))
 
 
+def recounted_pe(scores, labels, tau):
+    """The error rate of the rule "score > tau is attacked", counted directly."""
+    return np.count_nonzero((scores > tau) != labels) / scores.size
+
+
+def test_every_returned_rule_recounts_to_its_pe():
+    rng = np.random.default_rng(24)
+    cases = [
+        (np.round(rng.normal(size=m), 1), rng.random(m) < 0.5)
+        for m in rng.integers(2, 200, size=30)
+    ]
+    one = 1.0 + 2.0**-52
+    cases += [
+        # the nearest score above the best cut is +inf
+        arrays_from([1.0, 2.0], [math.inf, math.inf]),
+        arrays_from([-math.inf, 1.0, 2.0], [3.0, math.inf, math.inf]),
+        # the midpoint's sum overflows
+        arrays_from([1e308], [np.finfo(float).max]),
+        # the midpoint of two adjacent floats rounds up to the attacked score
+        arrays_from([one], [np.nextafter(one, 2.0)]),
+    ]
+    for scores, labels in cases:
+        if labels.all() or not labels.any():
+            continue
+        tau, pe = _optimize_exact(scores, labels)
+        assert pe == recounted_pe(scores, labels, tau), (scores, labels, tau)
+        # every distinct rule is "score > w" for some score w, or declares all
+        best = min(recounted_pe(scores, labels, w) for w in [-math.inf, *scores])
+        assert pe == pytest.approx(best)
+    for scores, labels in cases[-4:]:
+        tau, pe = _optimize_exact(scores, labels)
+        assert math.isfinite(tau) and pe == 0.0
+
+
+# attacked single terms overflow to +inf at am = 1e300
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("am", [1.0, 1e300])
+def test_experiment_rules_recount_to_their_pe(am):
+    config = two_sensor_config(trials=3000, seed=25, rho=0.5, am=am)
+    phi, v, labels = simulate_scores(config)
+    for scores, report in zip((phi, v), run_experiment(config)):
+        assert math.isfinite(report.threshold)
+        assert report.pe == recounted_pe(scores, labels, report.threshold)
+        if am > 1.0:
+            assert report.pe == 0.0
+
+
 # ----------------------------------------------------------------------
 # confidence intervals
 
@@ -229,7 +274,7 @@ def test_config_validation():
         two_sensor_config(attack_prior=1.0)
     with pytest.raises(ValueError):
         two_sensor_config(sensor_under_test=2)
-    # seeds are Philox keys, which must lie in [0, 2^128)
+    # seeds must lie in [0, 2^128)
     for seed in (-1, 1 << 128):
         with pytest.raises(ValueError, match="seed"):
             two_sensor_config(seed=seed)
@@ -250,6 +295,7 @@ def test_threshold_mode_must_be_exact_or_a_grid():
 
 
 def test_largest_philox_key_is_accepted():
+    # 2^128 - 1, the top of the accepted seed range, seeds the block streams
     config = two_sensor_config(trials=8, seed=(1 << 128) - 1)
     assert simulate_scores(config)[0].size == 8
 
@@ -451,21 +497,59 @@ def test_chunk_results_never_share_the_threads_kept_scratch():
         assert all(np.array_equal(a, b) for a, b in zip(got, copies))
 
 
-def reference_observations(config, start, count, uniforms=_trial_uniforms):
+# the stream's definition: trial j draws from block j // 2^14
+STREAM_BLOCK = 1 << 14
+
+
+def block_streams(seed, block):
+    """The generators of one block of trials: labels, normals, offsets."""
+    return [
+        np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block, role)))
+        )
+        for role in range(3)
+    ]
+
+
+def reference_draws(config, start, count):
+    """[label uniforms, normals, offsets] of trials start..start+count-1.
+
+    Each block is drawn whole and trial-major, straight from its
+    ``SeedSequence``, and the offsets follow the attack's law.
+    """
+    n, attack = config.model.n, config.attack
+    t = len(attack.targets)
+    parts = []
+    for block in range(start // STREAM_BLOCK, (start + count - 1) // STREAM_BLOCK + 1):
+        labels, normals, offsets = block_streams(config.seed, block)
+        u = labels.random(STREAM_BLOCK)
+        z = normals.standard_normal((STREAM_BLOCK, n))
+        if attack.kind == "B":
+            shift = attack.am + attack.sigma_a * offsets.standard_normal((STREAM_BLOCK, t))
+        elif attack.kind == "C":
+            shift = attack.am + attack.um * offsets.random((STREAM_BLOCK, t))
+        else:
+            shift = np.full((STREAM_BLOCK, t), attack.am)
+        parts.append((u, z, shift))
+    lo = start % STREAM_BLOCK
+    return [np.concatenate(role)[lo : lo + count] for role in zip(*parts)]
+
+
+def reference_observations(config, start, count, draws=None):
     """Trials built the plain way: trial-major rows, then a masked attack add."""
-    n = config.model.n
-    k, stride = _slot_count(config)
-    u = uniforms(config.seed, stride, start, count)
-    attacked = u[:, 0] < config.attack_prior
-    z = ndtri(np.clip(u[:, 1 : 1 + n], 1e-300, 1.0))
+    u, z, offsets = reference_draws(config, start, count) if draws is None else draws
+    attacked = u < config.attack_prior
     if count == 1:  # the matrix-matrix BLAS path, as in the harness
         z = np.concatenate((z, z))
     clean = config.model.mean + (z @ config.model.chol.T)[:count]
     xs = clean.copy()
-    offsets = offsets_from_uniforms(config.attack, u[:, 1 + n : k])
     for col, j in enumerate(config.attack.targets):
         xs[attacked, j] += offsets[attacked, col]
     return xs, attacked, clean
+
+
+# chunks inside one block, one-trial chunks, and chunks that cross blocks
+CHUNKS = ((0, 300), (17, 1), (16383, 1), (16384, 1), (16380, 10), (32767, 2), (5, 40000))
 
 
 @pytest.mark.parametrize("kind", ["A", "B", "C"])
@@ -477,17 +561,27 @@ def test_injection_matches_the_trial_major_reference(kind, targets):
         sigma_a=0.7 if kind == "B" else None, um=2.0 if kind == "C" else None,
     )
     config = ExperimentConfig(model=model, attack=attack, trials=400, seed=31)
-    for start, count in ((0, 300), (17, 1)):
+    for start, count in CHUNKS:
         xs, attacked = _trial_observations(config, start, count)
         want, want_attacked, clean = reference_observations(config, start, count)
         assert xs.shape == (count, 2)
         assert np.array_equal(attacked, want_attacked)
-        assert count == 1 or 0 < np.count_nonzero(attacked) < count
+        assert count < 10 or 0 < np.count_nonzero(attacked) < count
         assert np.array_equal(xs, want)
         # clean trials carry no offset, and no sensor outside the targets does
         assert np.array_equal(xs[~attacked], clean[~attacked])
         others = [j for j in range(2) if j not in targets]
         assert np.array_equal(xs[:, others], clean[:, others])
+
+
+@pytest.mark.parametrize("kind", ["B", "C"])
+def test_a_wide_model_matches_the_reference_across_blocks(kind):
+    config = kind_config(6, kind, 32)
+    for start, count in CHUNKS:
+        xs, attacked = _trial_observations(config, start, count)
+        want, want_attacked, _ = reference_observations(config, start, count)
+        assert np.array_equal(attacked, want_attacked)
+        assert np.array_equal(xs, want)
 
 
 def reference_scores(config, xs):
@@ -506,10 +600,10 @@ def reference_scores(config, xs):
 
 @pytest.mark.parametrize("kind", ["A", "B", "C"])
 @pytest.mark.parametrize("prior", [0.5, 1e-300])
-def test_a_zero_uniform_is_clipped_only_for_the_normals(monkeypatch, kind, prior):
-    # Philox can draw exactly 0.0.  The labels and the offsets read the raw
-    # uniforms, and only ndtri reads them clipped to 1e-300.  At a prior of
-    # 1e-300 a zero label slot is attacked, where a clipped one is clean.
+def test_a_zero_draw_is_attacked_and_offsets_by_am(monkeypatch, kind, prior):
+    # SFC64 can draw exactly 0.0.  A label uniform of 0.0 lies below every
+    # prior, so the trial is attacked even at a prior of 1e-300, and an
+    # offset draw of 0.0, a type-C uniform or a type-B normal, gives am.
     model = GaussianModel([0.5, -2.0], [[2.25, -0.6], [-0.6, 0.5625]])
     attack = AttackSpec(
         kind=kind, am=1.25, targets=Coalition.of([0, 1], 2),
@@ -519,25 +613,36 @@ def test_a_zero_uniform_is_clipped_only_for_the_normals(monkeypatch, kind, prior
         model=model, attack=attack, sensor_under_test=1, trials=400, attack_prior=prior,
         seed=31,
     )
-    k, _ = _slot_count(config)
+    stream = harness._TrialStream
 
-    def zeroed(seed, stride, start, count, out=None):
-        # zero label, normal, offset and then every used slot, trial by trial
-        u = _trial_uniforms(seed, stride, start, count, out=out)
-        u[0::4, 0] = 0.0
-        u[1::4, 1:3] = 0.0
-        u[2::4, 3:k] = 0.0
-        u[3::4, :k] = 0.0
-        return u
+    def zeroed(seed, role, start, count):
+        # every fourth trial's label uniform and offsets are drawn as 0.0
+        real = stream(seed, role, start, count)
+        if role == harness._NORMALS:
+            return real
+        zero = (start + np.arange(count)) % 4 == 0
 
-    monkeypatch.setattr(harness, "_trial_uniforms", zeroed)
-    for start, count in ((0, 300), (17, 1)):
-        want, want_attacked, _ = reference_observations(config, start, count, zeroed)
-        assert want_attacked[::4].all() and want_attacked[3::4].all()
+        class Zeroed:
+            def random(self, out):
+                real.random(out=out)
+                out[zero] = 0.0
+
+            def standard_normal(self, out):
+                real.standard_normal(out=out)
+                out[zero] = 0.0
+
+        return Zeroed()
+
+    monkeypatch.setattr(harness, "_TrialStream", zeroed)
+    for start, count in CHUNKS[:-1]:
+        zero = (start + np.arange(count)) % 4 == 0
+        u, z, offsets = reference_draws(config, start, count)
+        u[zero] = 0.0
+        offsets[zero] = attack.am
+        want, want_attacked, _ = reference_observations(config, start, count, (u, z, offsets))
+        assert want_attacked[zero].all()
         if prior < 1e-299:
-            assert np.count_nonzero(want_attacked) == len(range(0, count, 4)) + len(
-                range(3, count, 4)
-            )
+            assert np.array_equal(want_attacked, zero)
         xs, attacked = _trial_observations(config, start, count)
         assert np.array_equal(attacked, want_attacked)
         assert np.array_equal(xs, want)
@@ -546,6 +651,66 @@ def test_a_zero_uniform_is_clipped_only_for_the_normals(monkeypatch, kind, prior
         assert np.array_equal(attacked, want_attacked)
         assert np.array_equal(phi, want_phi)
         assert np.array_equal(v, want_v)
+
+
+@pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.parametrize("kind", ["A", "B", "C"])
+def test_the_stream_follows_the_model_and_the_attack_law(n, kind):
+    # 2^17 trials over eight blocks; every moment within 5 standard errors
+    m, prior, am, sigma_a, um = 1 << 17, 0.3, 1.5, 0.7, 2.0
+    rng = np.random.default_rng(40 + n)
+    a = rng.normal(size=(n, n))
+    model = GaussianModel(rng.normal(size=n), a @ a.T / n + 0.5 * np.eye(n))
+    targets = Coalition.of(sorted({0, n - 1}), n)
+    attack = AttackSpec(
+        kind=kind, am=am, targets=targets,
+        sigma_a=sigma_a if kind == "B" else None, um=um if kind == "C" else None,
+    )
+    config = ExperimentConfig(
+        model=model, attack=attack, trials=m, attack_prior=prior, seed=4242
+    )
+    xs, attacked = _trial_observations(config, 0, m)
+    # the labels and normals do not depend on the attack
+    plain, attacked_again = _trial_observations(
+        replace(config, attack=AttackSpec(kind="A", am=0.0, targets=targets)), 0, m
+    )
+    assert np.array_equal(attacked, attacked_again)
+    k = np.count_nonzero(attacked)
+    assert abs(k / m - prior) <= 5 * math.sqrt(prior * (1 - prior) / m)
+
+    d = xs[~attacked] - model.mean
+    var = np.diag(model.cov)
+    assert np.all(np.abs(d.mean(axis=0)) <= 5 * np.sqrt(var / len(d)))
+    # E[d_a d_b] = S_ab, with variance S_aa S_bb + S_ab^2
+    se = np.sqrt((np.outer(var, var) + model.cov**2) / len(d))
+    assert np.all(np.abs(d.T @ d / len(d) - model.cov) <= 5 * se)
+
+    assert np.array_equal(xs[~attacked], plain[~attacked])
+    others = [j for j in range(n) if j not in targets]
+    assert np.array_equal(xs[:, others], plain[:, others])
+    shifts = (xs - plain)[attacked][:, list(targets)].ravel()
+    if kind == "A":
+        assert np.allclose(shifts, am, rtol=0.0, atol=1e-12)
+        return
+    if kind == "B":
+        centre, spread, fourth = am, sigma_a**2, 2 * sigma_a**4
+    else:
+        assert np.all((shifts >= am - 1e-12) & (shifts <= am + um + 1e-12))
+        centre, spread, fourth = am + um / 2, um**2 / 12, um**4 / 180
+    # the mean and the second moment about the law's centre
+    assert abs(shifts.mean() - centre) <= 5 * math.sqrt(spread / shifts.size)
+    second = np.mean((shifts - centre) ** 2)
+    assert abs(second - spread) <= 5 * math.sqrt(fourth / shifts.size)
+
+
+def test_blocks_and_roles_draw_different_values():
+    draws = set()
+    for block in range(4):
+        for role in range(3):
+            out = np.empty(8)
+            harness._TrialStream(7, role, block * STREAM_BLOCK, 8).random(out=out)
+            draws.add(tuple(out))
+    assert len(draws) == 12
 
 
 def test_linear_statistic_reaches_the_bayes_error_on_table2():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shaploc import ConfigError, ExperimentSpec, GaussianModel, SuiteConfig, parse_config, run_suite
-from shaploc.harness import GridSpec
+from shaploc.harness import GridSpec, analytic_pe_gaussian
 from shaploc.suite import (
     COLUMNS,
     bench,
@@ -239,7 +239,9 @@ def test_run_suite_rows_and_columns():
     assert len(rows) == 6
     for row in rows:
         assert 0.0 <= row["Pe_v"] <= 1.0
-        assert row["analytic_Pe"] is None  # oracle needs rho = 0
+        # the single term reads sensor 1 alone, so the closed form holds at any rho
+        assert row["analytic_Pe"] == analytic_pe_gaussian(2.0, 1.0, 0.5)
+        assert row["analytic_Pe"] == pytest.approx(0.4709705671, abs=1e-10)
     text = render_rows(cfg, rows)
     header = text.splitlines()[1]
     assert header == ",".join(COLUMNS)
