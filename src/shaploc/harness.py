@@ -10,10 +10,16 @@ The harness scores one sensor on many trials of one model, so it never
 builds the 2^n coalition table.  For the Gaussian score, phi_i(x) is
 exactly C + d^T A d with d = x - mean, where C and A depend only on the
 model and the sensor (see ``gaussian_shapley_form``).  The form is built
-once per model and sensor, and each trial then costs O(n^2).  The single
-term repeats the coalition kernel's arithmetic for {i}, so it equals the
-kernel's score bit for bit.  The explanation API (``all_shapley`` and
-friends) scores arbitrary observations and stays on the kernel.
+once per model and sensor, and each trial then costs O(n^2).  A chunk of
+trials takes two matrix products of one shape, (n, n) @ (n, 2^14): the
+Cholesky factor times the normals gives the sensor-major observations,
+and A @ d, multiplied by d, is summed row by row into phi, so a chunk
+makes O(n) numpy calls.  Both products span all 2^14 columns, the unused
+ones zeroed, because BLAS picks its kernel, and so its rounding, by the
+shapes.  The single term repeats the coalition kernel's arithmetic for
+{i}, so it equals the kernel's score bit for bit.  The explanation API
+(``all_shapley`` and friends) scores arbitrary observations and stays on
+the kernel.  Scores that overflow become infinite without a warning.
 
 Randomness is keyed by block: trial j reads entry j mod 2^14 of three
 SFC64 streams, seeded by ``SeedSequence(seed, spawn_key=(j // 2^14,
@@ -39,20 +45,22 @@ span longer than one count block run on one thread pool per process,
 sized by the CPUs this process may run on; numpy releases the
 interpreter lock in that work.  Each thread that simulates chunks (a
 pool worker, or the calling thread where there is no pool) keeps two
-scratch buffers for its lifetime, of 2^14 x max(n + t, 4) and 2^14 x n
-doubles, t being the number of attacked sensors: the label uniforms,
-then the Cholesky product with the attack offsets behind it, then each
-target's injected offset and the scoring rows and the two scores in the
-first, the normals and then the sensor-major observations in the
-second.  So a chunk reuses resident pages instead of faulting in fresh
-arrays, and a thread holds at most (max(n + t, 4) + n) x 2^14 doubles
-of the widest model it has simulated, 9 MiB at n = 24 with 24 targets.  No
-view of them leaves the chunk path: every array handed to a caller is
-its own.  Workers write their results only into arrays the calling
-thread allocated, because freed worker temporaries stay resident in
-glibc's per-thread heaps, so a worker-allocated result would raise peak
-RSS even where the traced peak does not rise.  Results do not depend on
-the number of workers.
+scratch buffers for its lifetime, of (n + t) x 2^14 and n x 2^14
+doubles, t being the number of attacked sensors.  The first takes the
+label uniforms in its first row, then the trial-major normals in its
+first n rows with the attack offsets behind them, then each target's
+injected offset in its first row, and last A @ d in its first n rows,
+phi summed into the first of them, with v in the row after them.  The
+second takes the product of the Cholesky factor and the normals, which
+becomes the sensor-major observations and then d.  So a chunk reuses
+resident pages instead of faulting in fresh arrays, and a thread holds
+at most (2n + t) x 2^14 doubles of the widest model it has simulated,
+9 MiB at n = 24 with 24 targets.  No view of them leaves the chunk path:
+every array handed to a caller is its own.  Workers write their results
+only into arrays the calling thread allocated, because freed worker
+temporaries stay resident in glibc's per-thread heaps, so a
+worker-allocated result would raise peak RSS even where the traced peak
+does not rise.  Results do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -72,10 +80,14 @@ from .gaussian import _LOG_2PI, GaussianModel
 from .shapley import gaussian_shapley_form
 
 Z_95 = 1.96
-# the units of work a pool worker takes: trials per generation chunk, also
-# the size of its scratch, and clean cuts per threshold-count block
+# the units of work a pool worker takes: trials per generation chunk, at
+# most _WIDTH, and clean cuts per threshold-count block
 _TRIAL_CHUNK = 1 << 14
 _COUNT_BLOCK = 1 << 14
+# trials per product: BLAS picks its kernel, and so its rounding, by the
+# shapes, so every chunk's two matrix products span this many columns, and
+# each thread's scratch holds this many trials
+_WIDTH = 1 << 14
 # part of the definition of the trial stream, not a unit of work: trial j
 # draws from the generators of block j // _STREAM_BLOCK, one per role, so
 # changing it changes every trial, and a chunk of any size, _TRIAL_CHUNK
@@ -240,24 +252,22 @@ class _TrialStream:
 
 # the two scratch buffers each thread that simulates chunks keeps
 _KEPT = threading.local()
-_NO_BUFFER = np.empty(0)
+_NO_BUFFER = np.empty((0, _WIDTH))
 
 
-def _chunk_buffers(rows: int, stride: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two flat scratch arrays of at least rows * stride and rows * n doubles.
+def _chunk_buffers(stride: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two scratch arrays of at least (stride, _WIDTH) and (n, _WIDTH) doubles.
 
-    Up to a chunk's rows they are the buffers this thread keeps for its
-    lifetime, grown to a chunk of the widest model it has simulated, so a
-    chunk reuses pages that are already resident.  Larger requests get
-    fresh arrays.  The contents are left over from the thread's last chunk.
+    They are the buffers this thread keeps for its lifetime, grown to the
+    widest model it has simulated, so a chunk reuses pages that are
+    already resident.  The contents are left over from the thread's last
+    chunk.
     """
-    if rows > _TRIAL_CHUNK:
-        return np.empty(rows * stride), np.empty(rows * n)
     wide, narrow = getattr(_KEPT, "buffers", (_NO_BUFFER, _NO_BUFFER))
-    if wide.size < rows * stride:
-        wide = np.empty(_TRIAL_CHUNK * stride)
-    if narrow.size < rows * n:
-        narrow = np.empty(_TRIAL_CHUNK * n)
+    if len(wide) < stride:
+        wide = np.empty((stride, _WIDTH))
+    if len(narrow) < n:
+        narrow = np.empty((n, _WIDTH))
     _KEPT.buffers = wide, narrow
     return wide, narrow
 
@@ -267,9 +277,11 @@ def _chunk_observations(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(observations, attacked labels, spare) for trials start..start+count-1.
 
-    The observations are sensor-major, (n, count), and live in this
-    thread's scratch, as does the flat spare buffer of at least 4 * count
-    doubles; both are overwritten by the thread's next chunk.  The labels
+    ``count`` is at most _WIDTH.  The observations are sensor-major,
+    (n, _WIDTH) with the chunk's trials in the first count columns and
+    zeros after them, and live in this thread's scratch, as does the spare
+    buffer of at least n + t rows of _WIDTH, t being the number of
+    targets; both are overwritten by the thread's next chunk.  The labels
     are the caller's.  A trial is attacked when its label uniform lies
     below the prior.  Each target's offset, finite by ``AttackSpec``'s
     checks, is injected as ``attacked * offset``, so a clean trial adds a
@@ -280,55 +292,57 @@ def _chunk_observations(
     n = model.n
     targets = config.attack.targets
     t = len(targets)
-    # a one-row product would take BLAS's matrix-vector path, which rounds
-    # differently from the matrix-matrix path of larger chunks: run two rows
-    rows = max(count, 2)
-    wide, narrow = _chunk_buffers(rows, max(n + t, 4), n)
-    labels = wide[:count]
+    wide, narrow = _chunk_buffers(n + t, n)
+    labels = wide[0, :count]
     _TrialStream(config.seed, _LABELS, start, count).random(out=labels)
     attacked = labels < config.attack_prior
-    z = narrow[: rows * n].reshape(rows, n)
+    # trial-major normals in the first n rows, over the spent uniforms, and
+    # zeros in the unused trials so that the product spans all _WIDTH columns
+    z = wide[:n].reshape(_WIDTH, n)
     _TrialStream(config.seed, _NORMALS, start, count).standard_normal(out=z[:count])
-    z[count:] = z[:1]
-    # the offsets sit behind the product, which may overwrite the label uniforms
+    z[count:] = 0.0
     offsets = draw_offsets(
         config.attack,
         _TrialStream(config.seed, _OFFSETS, start, count),
-        wide[rows * n : rows * n + count * t].reshape(count, t),
+        wide[n:].reshape(-1)[: count * t].reshape(count, t),
     )
-    product = np.matmul(z, model.chol.T, out=wide[: rows * n].reshape(rows, n))
     # sensor-major, so the mean, the attack and the scoring run over contiguous rows
-    xs = narrow[: n * count].reshape(n, count)
-    xs[...] = product[:count].T
-    xs += model.mean[:, None]
-    shift = wide[:count]  # the product is spent
+    xs = np.matmul(model.chol, z.T, out=narrow[:n])
+    xs[:, :count] += model.mean[:, None]
+    shift = wide[0, :count]  # the normals are spent
     for col, j in enumerate(targets):
         np.multiply(attacked, offsets[:, col], out=shift)
-        xs[j] += shift
+        xs[j, :count] += shift
     return xs, attacked, wide
 
 
 def _trial_observations(
     config: ExperimentConfig, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(observations, attacked labels) for trials start..start+count-1."""
-    xs, attacked, _ = _chunk_observations(config, start, count)
-    return xs.copy().T, attacked
+    """(observations, attacked labels) for trials start..start+count-1.
+
+    The trials are taken _WIDTH at a time, each tile as one chunk.
+    """
+    xs, attacked = np.empty((config.model.n, count)), np.empty(count, dtype=bool)
+    for lo in range(0, count, _WIDTH):
+        hi = min(lo + _WIDTH, count)
+        tile, attacked[lo:hi], _ = _chunk_observations(config, start + lo, hi - lo)
+        xs[:, lo:hi] = tile[:, : hi - lo]
+    return xs.T, attacked
 
 
 @lru_cache(maxsize=8)
 def _scoring_form(model: GaussianModel, i: int):
-    """(C, coefficients u, 0.5 / var_i, 0.5 ln(2 pi var_i)) of sensor i.
+    """(C, A, 0.5 / var_i, 0.5 ln(2 pi var_i)) of sensor i.
 
-    phi_i = C + sum over a <= b of u[a][b] d_a d_b.  The single-term
-    factors are computed as the coalition kernel computes them for {i}.
-    The cache keeps the last few models alive.
+    phi_i = C + d^T A d, evaluated as C plus the row-by-row sum of
+    (A @ d) * d.  The single-term factors are computed as the coalition
+    kernel computes them for {i}.  The cache keeps the last few models
+    alive.
     """
     c, a = gaussian_shapley_form(model, i)
-    u = a + a.T
-    np.fill_diagonal(u, np.diag(a))
     var = model.cov[i, i]
-    return c, u.tolist(), 0.5 / var, 0.5 * (_LOG_2PI + np.log(var))
+    return c, a, 0.5 / var, 0.5 * (_LOG_2PI + np.log(var))
 
 
 def _simulate_chunk(
@@ -340,27 +354,27 @@ def _simulate_chunk(
     instead calls ``reserve(attacked, clean)`` with its two class counts,
     takes each class's phi and v scores, in trial order, into the
     (2, attacked) and (2, clean) arrays it returns, and returns nothing.
-    Scoring is elementwise over trials, in an order fixed by n, so a
-    trial's scores do not depend on the chunk.
+    ``count`` is at most _WIDTH.  Both matrix products span all _WIDTH
+    columns, whatever the count, and the rest is elementwise over trials
+    in an order fixed by n, so a trial's scores do not depend on the
+    chunk.  Scores that overflow become infinite without a warning.
     """
-    d, attacked, spare = _chunk_observations(config, start, count)
-    d -= config.model.mean[:, None]
-    i = config.sensor_under_test
-    c, u, half_precision, half_log_var = _scoring_form(config.model, i)
-    # the spare's first 4 * count doubles: two rows of scratch, then the scores
-    row, term, phi, v = spare[: 4 * count].reshape(4, count)
-    phi[...] = 0.0
-    for a, coeffs in enumerate(u):
-        np.multiply(d[a], coeffs[a], out=row)
-        for b in range(a + 1, len(u)):
-            np.multiply(d[b], coeffs[b], out=term)
-            row += term
-        row *= d[a]
-        phi += row
-    phi += c
-    np.multiply(d[i], d[i], out=v)
-    v *= half_precision
-    v += half_log_var
+    with np.errstate(over="ignore"):
+        d, attacked, spare = _chunk_observations(config, start, count)
+        d[:, :count] -= config.model.mean[:, None]
+        n, i = config.model.n, config.sensor_under_test
+        c, a, half_precision, half_log_var = _scoring_form(config.model, i)
+        # the spare's first n rows take A @ d over the spent normals, and phi
+        # is summed into the first of them; v takes the row after them
+        g = np.matmul(a, d, out=spare[:n])[:, :count]
+        g *= d[:, :count]
+        phi = g[0]
+        for row in g[1:]:
+            phi += row
+        phi += c
+        v = np.multiply(d[i, :count], d[i, :count], out=spare[n, :count])
+        v *= half_precision
+        v += half_log_var
     if reserve is None:
         return phi.copy(), v.copy(), attacked
     attacked_at = np.flatnonzero(attacked)

@@ -1,6 +1,12 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
 import threading
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,8 +207,7 @@ def test_every_returned_rule_recounts_to_its_pe():
         assert math.isfinite(tau) and pe == 0.0
 
 
-# attacked single terms overflow to +inf at am = 1e300
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# attacked single terms overflow to +inf at am = 1e300, without a warning
 @pytest.mark.parametrize("am", [1.0, 1e300])
 def test_experiment_rules_recount_to_their_pe(am):
     config = two_sensor_config(trials=3000, seed=25, rho=0.5, am=am)
@@ -497,6 +502,82 @@ def test_chunk_results_never_share_the_threads_kept_scratch():
         assert all(np.array_equal(a, b) for a, b in zip(got, copies))
 
 
+def test_a_thread_scores_alike_after_overflowing_scores():
+    # a whole chunk of a 1e300 attack leaves infinite scores in the thread's
+    # scratch; the next, shorter chunk warns of nothing and scores as a
+    # fresh thread does
+    huge = two_sensor_config(trials=3000, seed=25, rho=0.5, am=1e300)
+    plain = two_sensor_config(trials=3000, seed=25, rho=0.5, am=1.0)
+
+    def overflow_then_plain():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, v, attacked = _simulate_chunk(huge, 0, harness._WIDTH)
+            assert np.isinf(v[attacked]).all()
+            return _simulate_chunk(plain, 7, 300)
+
+    got = on_a_fresh_thread(overflow_then_plain)
+    want = on_a_fresh_thread(_simulate_chunk, plain, 7, 300)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# sensor counts on both sides of the shapes where OpenBLAS changes kernels
+KERNEL_EDGE_SENSORS = (1, 2, 3, 10, 12, 14, 17, 20, 24)
+# one-trial, shifted and block-crossing chunks of trials 0..2^15-1
+SPLIT_CHUNKS = ((0, 1), (17, 1), (16383, 1), (16384, 1), (5, 300), (16380, 10), (16000, 2000))
+
+
+def chunk_scores(configs):
+    """Per config: (phi, v) of two whole-block chunks, then of every split chunk."""
+    out = []
+    for config in configs:
+        width = harness._WIDTH
+        whole = [_simulate_chunk(config, start, width)[:2] for start in (0, width)]
+        parts = [_simulate_chunk(config, *chunk)[:2] for chunk in SPLIT_CHUNKS]
+        out.append(([np.concatenate(s) for s in zip(*whole)], parts))
+    return out
+
+
+def check_chunk_scores(scores):
+    for (phi, v), parts in scores:
+        for (start, count), (part_phi, part_v) in zip(SPLIT_CHUNKS, parts):
+            assert np.array_equal(part_phi, phi[start : start + count]), (start, count)
+            assert np.array_equal(part_v, v[start : start + count]), (start, count)
+
+
+# a fresh process with one BLAS thread scores the configs with the forms it
+# is given: building a form at n >= 16 rounds by the BLAS thread count
+ONE_BLAS_THREAD = """
+import pickle, sys
+from shaploc import harness
+from test_harness import chunk_scores
+configs, forms = pickle.load(sys.stdin.buffer)
+pinned = {id(config.model): form for config, form in zip(configs, forms)}
+harness._scoring_form = lambda model, i: pinned[id(model)]
+pickle.dump(chunk_scores(configs), sys.stdout.buffer)
+"""
+
+
+def test_split_chunks_score_the_whole_blocks_bits_at_every_kernel_edge():
+    configs = [kind_config(n, "B", 70 + n) for n in KERNEL_EDGE_SENSORS]
+    here = chunk_scores(configs)
+    check_chunk_scores(here)
+    forms = [harness._scoring_form(c.model, c.sensor_under_test) for c in configs]
+    paths = [str(Path(harness.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (*paths, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", ONE_BLAS_THREAD], env=env,
+        input=pickle.dumps((configs, forms)), capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    there = pickle.loads(done.stdout)
+    check_chunk_scores(there)
+    for ((phi, v), _), ((phi_there, v_there), _) in zip(here, there, strict=True):
+        assert np.array_equal(phi, phi_there) and np.array_equal(v, v_there)
+
+
 # the stream's definition: trial j draws from block j // 2^14
 STREAM_BLOCK = 1 << 14
 
@@ -539,7 +620,7 @@ def reference_observations(config, start, count, draws=None):
     """Trials built the plain way: trial-major rows, then a masked attack add."""
     u, z, offsets = reference_draws(config, start, count) if draws is None else draws
     attacked = u < config.attack_prior
-    if count == 1:  # the matrix-matrix BLAS path, as in the harness
+    if count == 1:  # a matrix-matrix BLAS path, as the harness's full-width product
         z = np.concatenate((z, z))
     clean = config.model.mean + (z @ config.model.chol.T)[:count]
     xs = clean.copy()
@@ -585,16 +666,20 @@ def test_a_wide_model_matches_the_reference_across_blocks(kind):
 
 
 def reference_scores(config, xs):
-    """(phi, v) of trial-major observations, in the harness's order of operations."""
+    """(phi, v) of trial-major observations, in the harness's order of operations.
+
+    A @ d spans a full-width block of trials, zeros after these, since BLAS
+    picks its kernel, and so its rounding, by the shapes.
+    """
     i = config.sensor_under_test
-    c, u, half_precision, half_log_var = harness._scoring_form(config.model, i)
+    c, a, half_precision, half_log_var = harness._scoring_form(config.model, i)
     d = xs - config.model.mean
-    phi = np.zeros(len(xs))
-    for a, coeffs in enumerate(u):
-        row = d[:, a] * coeffs[a]
-        for b in range(a + 1, len(u)):
-            row = row + d[:, b] * coeffs[b]
-        phi = phi + row * d[:, a]
+    full = np.zeros((config.model.n, harness._WIDTH))
+    full[:, : len(d)] = d.T
+    g = (a @ full)[:, : len(d)] * d.T
+    phi = g[0]
+    for row in g[1:]:
+        phi = phi + row
     return phi + c, d[:, i] * d[:, i] * half_precision + half_log_var
 
 
