@@ -6,61 +6,31 @@ value phi(x_i) of the Gaussian anomaly score, and the single marginal term
 v({i}, x).  Thresholds are then optimized per statistic on the same paired
 trials, so their error rates are directly comparable.
 
-The harness scores one sensor on many trials of one model, so it never
-builds the 2^n coalition table.  For the Gaussian score, phi_i(x) is
-exactly C + d^T A d with d = x - mean, where C and A depend only on the
-model and the sensor (see ``gaussian_shapley_form``).  The form is built
-once per model and sensor, and each trial then costs O(n^2).  A chunk of
-trials takes two matrix products of one shape, (n, n) @ (n, 2^14): the
-Cholesky factor times the normals gives the sensor-major observations,
-and A @ d, multiplied by d, is summed row by row into phi, so a chunk
-makes O(n) numpy calls.  Both products span all 2^14 columns, the unused
-ones zeroed, because BLAS picks its kernel, and so its rounding, by the
-shapes.  The single term repeats the coalition kernel's arithmetic for
-{i}, so it equals the kernel's score bit for bit.  The explanation API
-(``all_shapley`` and friends) scores arbitrary observations and stays on
-the kernel.  Scores that overflow become infinite without a warning.
+phi_i(x) is exactly C + d^T A d with d = x - mean (``gaussian_shapley_form``),
+built once per model and sensor, so the harness never builds the 2^n
+coalition table.  A chunk of at most 2^14 trials takes two matrix products
+of one shape, (n, n) @ (n, 2^14), unused columns zeroed, because BLAS
+rounds by shape: a trial scores the same bits in any chunk.  The single
+term repeats the coalition kernel's arithmetic for {i} bit for bit.
+Scores that overflow become infinite without a warning.
 
-Randomness is keyed by block: trial j reads entry j mod 2^14 of three
-SFC64 streams, seeded by ``SeedSequence(seed, spawn_key=(j // 2^14,
-role))``, one each for its label uniform, its n standard normals (numpy's
-ziggurat) and its attack offsets.  Results are reproducible trial by trial
-and independent of execution order: every chunk size, a chunk of one trial
-included, gives each trial the same bits.
+Trial j reads entry j mod 2^14 of three SFC64 streams, seeded by
+``SeedSequence(seed, spawn_key=(j // 2^14, role))``: its label uniform, its
+n ziggurat normals and its attack offsets.  So results do not depend on
+the chunking, the order the chunks run in or the number of workers.
 
-``run_experiment`` works class-major and never holds a label array.  The
-calling thread allocates one (2, trials) array, a row for phi and one for
-v.  Each chunk's worker reserves, under one lock, its attacked columns
-from the front of the array and its clean columns from the back, and
-takes its phi and v scores straight into them.  When every chunk is done
-the two cursors meet, each row holds its attacked class before the split
-and its clean class after it, and the four classes are sorted in place.
-Thresholds depend only on the sorted classes, so they equal those of the
-trial-order scores and labels that ``simulate_scores`` returns, whatever
-order the chunks finished in, and both paths score their chunks with
-``_simulate_chunk``.
-
-Trial chunks, the four class sorts and the fine threshold counts of a
-span longer than one count block run on one thread pool per process,
-sized by the CPUs this process may run on; numpy releases the
-interpreter lock in that work.  Each thread that simulates chunks (a
-pool worker, or the calling thread where there is no pool) keeps two
-scratch buffers for its lifetime, of (n + t) x 2^14 and n x 2^14
-doubles, t being the number of attacked sensors.  The first takes the
-label uniforms in its first row, then the trial-major normals in its
-first n rows with the attack offsets behind them, then each target's
-injected offset in its first row, and last A @ d in its first n rows,
-phi summed into the first of them, with v in the row after them.  The
-second takes the product of the Cholesky factor and the normals, which
-becomes the sensor-major observations and then d.  So a chunk reuses
-resident pages instead of faulting in fresh arrays, and a thread holds
-at most (2n + t) x 2^14 doubles of the widest model it has simulated,
-9 MiB at n = 24 with 24 targets.  No view of them leaves the chunk path:
-every array handed to a caller is its own.  Workers write their results
-only into arrays the calling thread allocated, because freed worker
-temporaries stay resident in glibc's per-thread heaps, so a
-worker-allocated result would raise peak RSS even where the traced peak
-does not rise.  Results do not depend on the number of workers.
+The trial chunks, the four class sorts and the fine threshold counts of
+long spans run on one thread pool per process, sized by the usable CPUs.
+``_simulate_chunks`` hands each chunk's scores to its caller:
+``simulate_scores`` copies them into trial order, and ``run_experiment``'s
+``_simulate_classes`` takes them straight into reserved class slices of one
+(2, trials) array, attacked trials from the front and clean ones from the
+back, then sorts the four classes in place.  Each thread keeps two scratch
+buffers for its lifetime, (n + t) x 2^14 and n x 2^14 doubles for t
+attacked sensors, which a chunk's scores are views of; no view leaves this
+module.  Workers write results only into arrays the calling thread
+allocated, because freed worker temporaries stay resident in glibc's
+per-thread heaps.
 """
 
 from __future__ import annotations
@@ -346,18 +316,16 @@ def _scoring_form(model: GaussianModel, i: int):
 
 
 def _simulate_chunk(
-    config: ExperimentConfig, start: int, count: int, reserve=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    config: ExperimentConfig, start: int, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(phi_scores, v_scores, attacked labels) for trials start..start+count-1.
 
-    The scores are new arrays in trial order.  Given ``reserve``, the chunk
-    instead calls ``reserve(attacked, clean)`` with its two class counts,
-    takes each class's phi and v scores, in trial order, into the
-    (2, attacked) and (2, clean) arrays it returns, and returns nothing.
-    ``count`` is at most _WIDTH.  Both matrix products span all _WIDTH
-    columns, whatever the count, and the rest is elementwise over trials
-    in an order fixed by n, so a trial's scores do not depend on the
-    chunk.  Scores that overflow become infinite without a warning.
+    The scores are views of this thread's scratch, overwritten by its next
+    chunk; the labels are the caller's.  ``count`` is at most _WIDTH.  Both
+    matrix products span all _WIDTH columns, whatever the count, and the
+    rest is elementwise over trials in an order fixed by n, so a trial's
+    scores do not depend on the chunk.  Scores that overflow become
+    infinite without a warning.
     """
     with np.errstate(over="ignore"):
         d, attacked, spare = _chunk_observations(config, start, count)
@@ -375,31 +343,37 @@ def _simulate_chunk(
         v = np.multiply(d[i, :count], d[i, :count], out=spare[n, :count])
         v *= half_precision
         v += half_log_var
-    if reserve is None:
-        return phi.copy(), v.copy(), attacked
-    attacked_at = np.flatnonzero(attacked)
-    clean_at = np.flatnonzero(np.logical_not(attacked))
-    for at, dst in zip((attacked_at, clean_at), reserve(attacked_at.size, clean_at.size)):
-        phi.take(at, out=dst[0])
-        v.take(at, out=dst[1])
-    return None
+    return phi, v, attacked
+
+
+def _simulate_chunks(config: ExperimentConfig, take) -> None:
+    """Call ``take(start, phi, v, attacked)`` on every chunk, on the pool.
+
+    ``take`` gets ``_simulate_chunk``'s results, scratch views included,
+    and must move the scores out before it returns.
+    """
+    m, chunk = config.trials, _TRIAL_CHUNK
+    # build the form here, so the workers find it cached
+    _scoring_form(config.model, config.sensor_under_test)
+
+    def run(start: int) -> None:
+        take(start, *_simulate_chunk(config, start, min(chunk, m - start)))
+
+    _run_all(run, range(0, m, chunk))
 
 
 def simulate_scores(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All trial scores and labels in trial order, computed in deterministic chunks."""
-    chunk = _TRIAL_CHUNK
     m = config.trials
     phi, v, labels = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
-    # build the form here, so the workers find it cached
-    _scoring_form(config.model, config.sensor_under_test)
 
-    def fill(start: int) -> None:
-        stop = min(start + chunk, m)
-        phi[start:stop], v[start:stop], labels[start:stop] = _simulate_chunk(
-            config, start, stop - start
-        )
+    def take(
+        start: int, chunk_phi: np.ndarray, chunk_v: np.ndarray, attacked: np.ndarray
+    ) -> None:
+        stop = start + attacked.size
+        phi[start:stop], v[start:stop], labels[start:stop] = chunk_phi, chunk_v, attacked
 
-    _run_all(fill, range(0, m, chunk))
+    _simulate_chunks(config, take)
     return phi, v, labels
 
 
@@ -415,51 +389,35 @@ def _simulate_classes(config: ExperimentConfig) -> tuple[list[np.ndarray], list[
     the chunks finished, but the classes are sorted before anything counts
     them.
     """
-    chunk = _TRIAL_CHUNK
     m = config.trials
     scores = np.empty((2, m))
     front, back = 0, m  # the attacked class grows from the front, the clean from the back
     lock = threading.Lock()
-    _scoring_form(config.model, config.sensor_under_test)
 
-    def reserve(attacked: int, clean: int) -> tuple[np.ndarray, np.ndarray]:
+    def take(start: int, phi: np.ndarray, v: np.ndarray, attacked: np.ndarray) -> None:
         nonlocal front, back
+        attacked_at = np.flatnonzero(attacked)
+        clean_at = np.flatnonzero(np.logical_not(attacked))
         with lock:
-            a, front = front, front + attacked
-            back -= clean
+            a, front = front, front + attacked_at.size
+            back -= clean_at.size
             c = back
-        return scores[:, a : a + attacked], scores[:, c : c + clean]
+        for at, lo in ((attacked_at, a), (clean_at, c)):
+            phi.take(at, out=scores[0, lo : lo + at.size])
+            v.take(at, out=scores[1, lo : lo + at.size])
 
-    def fill(start: int) -> None:
-        _simulate_chunk(config, start, min(chunk, m - start), reserve)
-
-    _run_all(fill, range(0, m, chunk))
+    _simulate_chunks(config, take)
     if front != back:
         raise RuntimeError(f"the class cursors did not meet: {front} != {back}")
+    if front in (0, m):
+        raise DegenerateLabelsError("threshold optimization needs both classes")
     classes = [part for row in scores for part in (row[:front], row[front:])]
-    _sort_classes(classes)
+    _run_all(np.ndarray.sort, classes)
     return classes[:2], classes[2:]
 
 
 # ----------------------------------------------------------------------
 # threshold optimization
-
-
-def _sort_classes(classes) -> None:
-    """Sort every class in place, side by side; none may be empty."""
-    if any(c.size == 0 for c in classes):
-        raise DegenerateLabelsError("threshold optimization needs both classes")
-    _run_all(np.ndarray.sort, classes)
-
-
-def _split_sorted(scores: np.ndarray, labels: np.ndarray):
-    """(sorted attacked scores, sorted clean scores); both classes must occur."""
-    classes = (
-        scores.take(np.flatnonzero(labels)),
-        scores.take(np.flatnonzero(np.logical_not(labels))),
-    )
-    _sort_classes(classes)
-    return classes
 
 
 def _exact_threshold(att: np.ndarray, clean: np.ndarray) -> tuple[float, float]:
@@ -548,16 +506,6 @@ def _grid_threshold(
     errors = np.searchsorted(att, taus, "right") - np.searchsorted(clean, taus, "right")
     best = int(np.argmin(errors))  # ties -> smallest threshold
     return float(taus[best]), int(errors[best] + clean.size) / (att.size + clean.size)
-
-
-def _optimize_exact(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """``_exact_threshold`` over the classes of trial-order scores and labels."""
-    return _exact_threshold(*_split_sorted(scores, labels))
-
-
-def _optimize_grid(scores, labels, lo: float, hi: float, steps: int) -> tuple[float, float]:
-    """``_grid_threshold`` over the classes of trial-order scores and labels."""
-    return _grid_threshold(*_split_sorted(scores, labels), lo, hi, steps)
 
 
 def run_experiment(

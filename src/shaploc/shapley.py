@@ -246,7 +246,9 @@ def gaussian_shapley_form(model: GaussianModel, i: int) -> tuple[float, np.ndarr
     form = np.empty((n, n))
     form[np.ix_(order, order)] = a
     form.setflags(write=False)
-    return float(weights @ half_log_var[last, 0]), form
+    # a pairwise sum, whose order depends on the length alone; a BLAS dot
+    # splits by the thread count
+    return float(np.add.reduce(weights * half_log_var[last, 0])), form
 
 
 def _transform(table: np.ndarray, sensors, weights: np.ndarray) -> np.ndarray:

@@ -104,6 +104,9 @@ class ExperimentSpec:
             raise ConfigError("trials: must be at least 1")
         if not 0.0 < self.attack_prior < 1.0:
             raise ConfigError("attack_prior: must lie strictly inside (0, 1)")
+        mode = self.threshold_mode
+        if not (isinstance(mode, GridSpec) or (isinstance(mode, str) and mode == "exact")):
+            raise ConfigError(f"threshold_mode: unknown threshold mode {mode!r}")
 
     def model(self) -> GaussianModel:
         c = self.rho * self.sigma1 * self.sigma2

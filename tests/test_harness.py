@@ -27,13 +27,11 @@ from shaploc import (
     simulate_scores,
 )
 from shaploc import harness
-from shaploc.harness import (
-    _optimize_exact,
-    _optimize_grid,
-    _simulate_chunk,
-    _trial_observations,
-)
+from shaploc.harness import _trial_observations
+from shaploc.shapley import gaussian_shapley_form
 from shaploc.suite import experiment_seed
+
+from harness_helpers import chunk, optimize_exact, optimize_grid
 
 
 def arrays_from(clean, attacked):
@@ -74,18 +72,18 @@ def two_sensor_config(**kw):
 
 
 def test_separable_classes():
-    tau, pe = _optimize_exact(*arrays_from([1, 2, 3], [4, 5, 6]))
+    tau, pe = optimize_exact(*arrays_from([1, 2, 3], [4, 5, 6]))
     assert pe == 0.0
     assert tau == pytest.approx(3.5)
 
 
 def test_interleaved_classes():
-    _, pe = _optimize_exact(*arrays_from([1, 3], [2, 4]))
+    _, pe = optimize_exact(*arrays_from([1, 3], [2, 4]))
     assert pe == pytest.approx(0.25)
 
 
 def test_tie_break_toward_smallest_threshold():
-    tau, pe = _optimize_exact(*arrays_from([2.0], [1.0]))
+    tau, pe = optimize_exact(*arrays_from([2.0], [1.0]))
     assert pe == pytest.approx(0.5)
     assert tau == -math.inf
 
@@ -98,7 +96,7 @@ def test_exact_matches_brute_force_on_random_instances():
         labels = rng.random(m) < 0.5
         if labels.all() or not labels.any():
             continue
-        got_tau, got_pe = _optimize_exact(scores, labels)
+        got_tau, got_pe = optimize_exact(scores, labels)
         tau, pe = brute_force_best(scores, labels)
         assert got_pe == pytest.approx(pe)
         assert got_tau == pytest.approx(tau)
@@ -112,16 +110,16 @@ def test_exact_never_beaten_by_any_grid():
         labels = rng.random(m) < 0.4
         if labels.all() or not labels.any():
             continue
-        _, exact_pe = _optimize_exact(scores, labels)
+        _, exact_pe = optimize_exact(scores, labels)
         lo, hi = float(rng.normal(-3)), float(rng.normal(3))
         if lo >= hi:
             lo, hi = hi - 1, lo + 1
-        _, grid_pe = _optimize_grid(scores, labels, lo, hi, int(rng.integers(2, 50)))
+        _, grid_pe = optimize_grid(scores, labels, lo, hi, int(rng.integers(2, 50)))
         assert exact_pe <= grid_pe + 1e-15
 
 
 def test_grid_straddling_gap_is_perfect():
-    _, pe = _optimize_grid(*arrays_from([1, 2, 3], [4, 5, 6]), 0.0, 10.0, 101)
+    _, pe = optimize_grid(*arrays_from([1, 2, 3], [4, 5, 6]), 0.0, 10.0, 101)
     assert pe == 0.0
 
 
@@ -141,12 +139,12 @@ def test_tie_heavy_scores_match_brute_force_in_both_modes():
         labels = rng.random(m) < 0.5
         if labels.all() or not labels.any():
             continue
-        got_tau, got_pe = _optimize_exact(scores, labels)
+        got_tau, got_pe = optimize_exact(scores, labels)
         tau, pe = brute_force_best(scores, labels)
         assert got_pe == pytest.approx(pe, abs=1e-15)
         assert got_tau == tau
         taus = np.linspace(-2.0, 2.0, 41)
-        got_tau, got_pe = _optimize_grid(scores, labels, -2.0, 2.0, 41)
+        got_tau, got_pe = optimize_grid(scores, labels, -2.0, 2.0, 41)
         tau, pe = grid_brute_force(scores, labels, taus)
         assert got_pe == pytest.approx(pe, abs=1e-15)
         assert got_tau == tau
@@ -156,21 +154,21 @@ def test_grid_converges_to_exact():
     rng = np.random.default_rng(22)
     scores = rng.normal(size=10**4)
     labels = rng.random(10**4) < 0.5
-    _, exact_pe = _optimize_exact(scores, labels)
-    _, grid_pe = _optimize_grid(scores, labels, -6.0, 6.0, 10**6)
+    _, exact_pe = optimize_exact(scores, labels)
+    _, grid_pe = optimize_grid(scores, labels, -6.0, 6.0, 10**6)
     assert grid_pe == pytest.approx(exact_pe, abs=1e-12)
 
 
 def test_grid_entirely_below_scores_declares_everything():
-    _, pe = _optimize_grid(*arrays_from([1, 2, 3], [4, 5, 6]), -100.0, -50.0, 10)
+    _, pe = optimize_grid(*arrays_from([1, 2, 3], [4, 5, 6]), -100.0, -50.0, 10)
     assert pe == pytest.approx(0.5)  # all clean trials become false alarms
 
 
 def test_degenerate_labels_rejected():
-    with pytest.raises(DegenerateLabelsError):
-        _optimize_exact(*arrays_from([1, 2], []))
-    with pytest.raises(DegenerateLabelsError):
-        _optimize_exact(*arrays_from([], [1, 2]))
+    # one trial is of one class, whatever the mode
+    for mode in ("exact", GridSpec(0.0, 20.0, 11)):
+        with pytest.raises(DegenerateLabelsError):
+            run_experiment(two_sensor_config(trials=1, seed=2, threshold_mode=mode))
 
 
 def recounted_pe(scores, labels, tau):
@@ -197,13 +195,13 @@ def test_every_returned_rule_recounts_to_its_pe():
     for scores, labels in cases:
         if labels.all() or not labels.any():
             continue
-        tau, pe = _optimize_exact(scores, labels)
+        tau, pe = optimize_exact(scores, labels)
         assert pe == recounted_pe(scores, labels, tau), (scores, labels, tau)
         # every distinct rule is "score > w" for some score w, or declares all
         best = min(recounted_pe(scores, labels, w) for w in [-math.inf, *scores])
         assert pe == pytest.approx(best)
     for scores, labels in cases[-4:]:
-        tau, pe = _optimize_exact(scores, labels)
+        tau, pe = optimize_exact(scores, labels)
         assert math.isfinite(tau) and pe == 0.0
 
 
@@ -329,11 +327,13 @@ def test_an_experiment_of_one_class_is_rejected(prior, mode):
 
 
 def test_trial_determinism():
+    # trial 57 scores the same alone, again, and inside a longer chunk
     config = two_sensor_config(trials=100, seed=42)
-    a = _simulate_chunk(config, 57, 1)
-    b = _simulate_chunk(config, 57, 1)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+    a = chunk(config, 57, 1)
+    b = chunk(config, 57, 1)
+    c = chunk(config, 50, 10)
+    for x, y, z in zip(a, b, c):
+        assert np.array_equal(x, y) and np.array_equal(x, z[7:8])
 
 
 def test_trial_matches_chunked_simulation(monkeypatch):
@@ -420,14 +420,6 @@ def test_experiment_deterministic_across_chunkings(monkeypatch):
         assert np.array_equal(x, y)
 
 
-def test_chunk_single_term_scores_own_their_data():
-    config = two_sensor_config(trials=64, seed=11, rho=0.3)
-    phi, v, _ = _simulate_chunk(config, 0, 64)
-    # a view would keep the chunk's scratch arrays alive
-    assert v.base is None or v.base.ndim < 2
-    assert phi.size == v.size == 64
-
-
 def random_config(n, seed, sensor, trials):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
@@ -452,7 +444,7 @@ def test_chunk_scores_match_the_coalition_table():
         config = random_config(n, 15 + n, sensor, 300)
         for start, count in ((0, 300), (17, 1), (40, 64)):
             xs, _ = _trial_observations(config, start, count)
-            phi, v, _ = _simulate_chunk(config, start, count)
+            phi, v, _ = chunk(config, start, count)
             for x, phi_x, v_x in zip(xs, phi, v):
                 table = config.model.coalition_values(x)
                 # the single term runs the kernel's own arithmetic
@@ -485,17 +477,18 @@ def on_a_fresh_thread(fn, *args):
 
 def test_chunk_results_never_share_the_threads_kept_scratch():
     # one thread simulates chunks of wide and narrow models back to back:
-    # every result equals a fresh thread's, and later chunks leave it alone
+    # every result equals a fresh thread's chunk that starts earlier, and
+    # later chunks leave the observations alone
     results = []
     for n in (10, 2, 14, 1):
         for kind in ("A", "B", "C"):
             config = kind_config(n, kind, 60 + n)
             for count in (300, 1, 64):
-                for fn in (_simulate_chunk, _trial_observations):
+                for fn in (chunk, _trial_observations):
                     got = fn(config, 3, count)
+                    want = on_a_fresh_thread(fn, config, 0, count + 3)
                     assert all(
-                        np.array_equal(a, b)
-                        for a, b in zip(got, on_a_fresh_thread(fn, config, 3, count))
+                        np.array_equal(a, b[3:]) for a, b in zip(got, want)
                     ), (n, kind, count, fn.__name__)
                     results.append((got, tuple(a.copy() for a in got)))
     for got, copies in results:
@@ -512,13 +505,13 @@ def test_a_thread_scores_alike_after_overflowing_scores():
     def overflow_then_plain():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, v, attacked = _simulate_chunk(huge, 0, harness._WIDTH)
+            _, v, attacked = chunk(huge, 0, harness._WIDTH)
             assert np.isinf(v[attacked]).all()
-            return _simulate_chunk(plain, 7, 300)
+            return chunk(plain, 7, 300)
 
     got = on_a_fresh_thread(overflow_then_plain)
-    want = on_a_fresh_thread(_simulate_chunk, plain, 7, 300)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    want = on_a_fresh_thread(chunk, plain, 0, 307)
+    assert all(np.array_equal(a, b[7:]) for a, b in zip(got, want))
 
 
 # sensor counts on both sides of the shapes where OpenBLAS changes kernels
@@ -532,8 +525,8 @@ def chunk_scores(configs):
     out = []
     for config in configs:
         width = harness._WIDTH
-        whole = [_simulate_chunk(config, start, width)[:2] for start in (0, width)]
-        parts = [_simulate_chunk(config, *chunk)[:2] for chunk in SPLIT_CHUNKS]
+        whole = [chunk(config, start, width)[:2] for start in (0, width)]
+        parts = [chunk(config, *split)[:2] for split in SPLIT_CHUNKS]
         out.append(([np.concatenate(s) for s in zip(*whole)], parts))
     return out
 
@@ -545,34 +538,55 @@ def check_chunk_scores(scores):
             assert np.array_equal(part_v, v[start : start + count]), (start, count)
 
 
-# a fresh process with one BLAS thread scores the configs with the forms it
-# is given: building a form at n >= 16 rounds by the BLAS thread count
-ONE_BLAS_THREAD = """
-import pickle, sys
-from shaploc import harness
-from test_harness import chunk_scores
-configs, forms = pickle.load(sys.stdin.buffer)
-pinned = {id(config.model): form for config, form in zip(configs, forms)}
-harness._scoring_form = lambda model, i: pinned[id(model)]
-pickle.dump(chunk_scores(configs), sys.stdout.buffer)
-"""
-
-
-def test_split_chunks_score_the_whole_blocks_bits_at_every_kernel_edge():
-    configs = [kind_config(n, "B", 70 + n) for n in KERNEL_EDGE_SENSORS]
-    here = chunk_scores(configs)
-    check_chunk_scores(here)
-    forms = [harness._scoring_form(c.model, c.sensor_under_test) for c in configs]
+def in_one_blas_thread(script, payload):
+    """What ``script`` pickles to stdout, run on ``payload`` in a fresh
+    process with one BLAS thread."""
     paths = [str(Path(harness.__file__).resolve().parents[1]), str(Path(__file__).parent)]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         p for p in (*paths, os.environ.get("PYTHONPATH")) if p
     ))
     done = subprocess.run(
-        [sys.executable, "-W", "error", "-c", ONE_BLAS_THREAD], env=env,
-        input=pickle.dumps((configs, forms)), capture_output=True, timeout=120,
+        [sys.executable, "-W", "error", "-c", script], env=env,
+        input=pickle.dumps(payload), capture_output=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr.decode()
-    there = pickle.loads(done.stdout)
+    return pickle.loads(done.stdout)
+
+
+BUILD_FORMS = """
+import pickle, sys
+from shaploc.shapley import gaussian_shapley_form
+pickle.dump([gaussian_shapley_form(*case) for case in pickle.load(sys.stdin.buffer)], sys.stdout.buffer)
+"""
+
+
+def test_forms_do_not_depend_on_the_blas_thread_count():
+    # C sums 2^(n-1) terms and A as many outer products; a BLAS dot for C
+    # rounded by the thread count at these n
+    cases = [
+        (kind_config(n, "B", 70 + n).model, i) for n in (16, 17, 20) for i in (0, n // 2, n - 1)
+    ]
+    here = [gaussian_shapley_form(*case) for case in cases]
+    there = in_one_blas_thread(BUILD_FORMS, cases)
+    for (c, a), (c_there, a_there) in zip(here, there, strict=True):
+        assert np.float64(c).tobytes() == np.float64(c_there).tobytes()
+        assert a.tobytes() == a_there.tobytes()
+
+
+SCORE_CHUNKS = """
+import pickle, sys
+from test_harness import chunk_scores
+pickle.dump(chunk_scores(pickle.load(sys.stdin.buffer)), sys.stdout.buffer)
+"""
+
+
+def test_split_chunks_score_the_whole_blocks_bits_at_every_kernel_edge():
+    # a fresh process with one BLAS thread builds its own forms and scores
+    # the same bits
+    configs = [kind_config(n, "B", 70 + n) for n in KERNEL_EDGE_SENSORS]
+    here = chunk_scores(configs)
+    check_chunk_scores(here)
+    there = in_one_blas_thread(SCORE_CHUNKS, configs)
     check_chunk_scores(there)
     for ((phi, v), _), ((phi_there, v_there), _) in zip(here, there, strict=True):
         assert np.array_equal(phi, phi_there) and np.array_equal(v, v_there)
@@ -731,7 +745,7 @@ def test_a_zero_draw_is_attacked_and_offsets_by_am(monkeypatch, kind, prior):
         xs, attacked = _trial_observations(config, start, count)
         assert np.array_equal(attacked, want_attacked)
         assert np.array_equal(xs, want)
-        phi, v, attacked = _simulate_chunk(config, start, count)
+        phi, v, attacked = chunk(config, start, count)
         want_phi, want_v = reference_scores(config, want)
         assert np.array_equal(attacked, want_attacked)
         assert np.array_equal(phi, want_phi)
@@ -812,7 +826,7 @@ def test_linear_statistic_reaches_the_bayes_error_on_table2():
         shift = np.zeros(model.n)
         shift[list(config.attack.targets)] = config.attack.am
         w = np.linalg.solve(model.cov, shift)
-        _, pe = _optimize_exact((xs - model.mean) @ w, attacked)
+        _, pe = optimize_exact((xs - model.mean) @ w, attacked)
         exact = float(ndtr(-0.5 * math.sqrt(shift @ w)))
         se = math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(pe - exact) <= 5 * se, (name, pe, exact)

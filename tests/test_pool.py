@@ -31,6 +31,8 @@ from shaploc import harness
 from shaploc.cli import main
 from shaploc.harness import _COUNT_BLOCK, _TRIAL_CHUNK
 
+from harness_helpers import optimize_exact
+
 
 @pytest.fixture
 def pool(monkeypatch):
@@ -74,6 +76,30 @@ def test_pool_and_serial_path_give_the_same_bits(pool, monkeypatch, kind, mode):
     assert run_experiment(config) == pooled
 
 
+@pytest.mark.parametrize("pooled", [True, False], ids=["pool", "no pool"])
+def test_no_result_shares_a_threads_kept_scratch(pool, monkeypatch, pooled):
+    # the chunks score into each thread's kept buffers; every array the
+    # harness hands out is its own
+    kept = {}
+    chunk_buffers = harness._chunk_buffers
+
+    def recording(stride, n):
+        buffers = chunk_buffers(stride, n)
+        kept.update((id(b), b) for b in harness._KEPT.buffers)
+        return buffers
+
+    monkeypatch.setattr(harness, "_chunk_buffers", recording)
+    if not pooled:
+        monkeypatch.setattr(harness, "_POOL", None)
+    for trials in (300, 3 * _TRIAL_CHUNK + 5):
+        config = three_sensor_config("B", trials=trials)
+        results = list(simulate_scores(config))
+        results += [c for classes in harness._simulate_classes(config) for c in classes]
+        assert kept
+        for result in results:
+            assert not any(np.shares_memory(result, b) for b in kept.values())
+
+
 @pytest.mark.parametrize("drop", [None, 5, 2 * _COUNT_BLOCK + 77])
 def test_pooled_counts_over_a_wide_span_give_the_serial_bits(pool, monkeypatch, drop):
     # Interleaved classes make the error curve flat, so pruning keeps every
@@ -93,10 +119,10 @@ def test_pooled_counts_over_a_wide_span_give_the_serial_bits(pool, monkeypatch, 
         run_all(fn, items)
 
     monkeypatch.setattr(harness, "_run_all", recording)
-    pooled = harness._optimize_exact(scores, labels)
-    assert batches == [2, 4]  # the two sorts, then the count blocks of every cut
+    pooled = optimize_exact(scores, labels)
+    assert batches == [4]  # the count blocks of every cut
     monkeypatch.setattr(harness, "_POOL", None)
-    assert harness._optimize_exact(scores, labels) == pooled
+    assert optimize_exact(scores, labels) == pooled
     k = 0 if drop is None else drop
     errors = n_clean - 1 - (drop is not None)
     assert pooled == (clean[k] + 0.5, errors / scores.size)
@@ -153,13 +179,11 @@ def run_a_suite_with_a_failing_chunk(monkeypatch):
     failed_on = []
     simulate_chunk = harness._simulate_chunk
 
-    def fail_second_chunk(config, start, count, reserve=None):
-        # run_experiment's workers reserve their class slices through ``reserve``
-        assert reserve is not None
+    def fail_second_chunk(config, start, count):
         if config.attack.am == 2.0 and start == _TRIAL_CHUNK:
             failed_on.append(threading.current_thread())
             raise RuntimeError("chunk failed")
-        return simulate_chunk(config, start, count, reserve)
+        return simulate_chunk(config, start, count)
 
     monkeypatch.setattr(harness, "_simulate_chunk", fail_second_chunk)
     trials = 3 * _TRIAL_CHUNK

@@ -13,7 +13,6 @@ from hypothesis import strategies as st  # noqa: E402
 from shaploc import (  # noqa: E402
     AttackSpec,
     Coalition,
-    DegenerateLabelsError,
     EmptyKeptSetError,
     ErrorRateReport,
     ExperimentConfig,
@@ -30,18 +29,15 @@ from shaploc import (  # noqa: E402
     truncated_shapley,
 )
 from shaploc import harness  # noqa: E402
-from shaploc.harness import (  # noqa: E402
-    _COARSE_STEP,
-    _COUNT_BLOCK,
-    _optimize_exact,
-    _optimize_grid,
-)
+from shaploc.harness import _COARSE_STEP, _COUNT_BLOCK  # noqa: E402
 from shaploc.shapley import (  # noqa: E402
     _TABLE_PER_PERMUTATION,
     _pair_weights,
     _transform,
     gaussian_shapley_form,
 )
+
+from harness_helpers import optimize_exact, optimize_grid  # noqa: E402
 
 
 @st.composite
@@ -229,13 +225,9 @@ def test_optimizers_equal_the_reference_error_curve(drawn, lo, width, steps):
     scores, labels = drawn
     hi = lo + width
     if labels.all() or not labels.any():
-        with pytest.raises(DegenerateLabelsError):
-            _optimize_exact(scores, labels)
-        with pytest.raises(DegenerateLabelsError):
-            _optimize_grid(scores, labels, lo, hi, steps)
-        return
-    assert _optimize_exact(scores, labels) == reference_exact(scores, labels)
-    assert _optimize_grid(scores, labels, lo, hi, steps) == reference_grid(
+        return  # one class: run_experiment refuses it before any search
+    assert optimize_exact(scores, labels) == reference_exact(scores, labels)
+    assert optimize_grid(scores, labels, lo, hi, steps) == reference_grid(
         scores, labels, lo, hi, steps
     )
 
@@ -321,11 +313,11 @@ def test_exact_counts_across_count_blocks(monkeypatch, shape, n_clean):
     with ThreadPoolExecutor(2) as two:
         if harness._POOL is None:
             monkeypatch.setattr(harness, "_POOL", two)
-        tau, pe = _optimize_exact(scores, labels)
-    # the two sorts, then every cut in count blocks on the pool, unless
-    # they fit in one block, which the calling thread counts
+        tau, pe = optimize_exact(scores, labels)
+    # every cut in count blocks on the pool, unless they fit in one
+    # block, which the calling thread counts
     blocks = -(-n_clean // _COUNT_BLOCK)
-    assert batches == [2] + [blocks] * (blocks > 1)
+    assert batches == [blocks] * (blocks > 1)
     assert (tau, pe) == reference_exact(scores, labels)
     if shape == "continuous":
         assert (tau, pe) == (0.5 * (clean[0] + attacked[0]), (n_clean - 1) / scores.size)
@@ -395,7 +387,7 @@ def test_exact_minimum_at_coarse_block_boundaries(n_clean, shape, place):
     order = rng.permutation(clean.size + attacked.size)
     scores = np.concatenate((clean, attacked))[order]
     labels = (np.arange(scores.size) >= clean.size)[order]
-    tau, pe = _optimize_exact(scores, labels)
+    tau, pe = optimize_exact(scores, labels)
     assert (tau, pe) == reference_exact(scores, labels)
     if k is None:
         assert tau == -math.inf

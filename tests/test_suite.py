@@ -122,6 +122,8 @@ def test_grid_bounds_must_be_finite(tmp_path, bounds):
     ("mu1", float("inf")),
     ("mu2", float("-inf")),
     ("attack_prior", "0.5"),
+    ("threshold_mode", "grid"),
+    ("threshold_mode", None),
 ])
 def test_spec_refuses_values_it_cannot_run(field, value):
     with pytest.raises(ConfigError, match=f"^{field}: "):
