@@ -8,11 +8,13 @@ trials, so their error rates are directly comparable.
 
 phi_i(x) is exactly C + d^T A d with d = x - mean (``gaussian_shapley_form``),
 built once per model and sensor, so the harness never builds the 2^n
-coalition table.  A chunk of at most 2^14 trials takes two matrix products
-of one shape, (n, n) @ (n, 2^14), unused columns zeroed, because BLAS
-rounds by shape: a trial scores the same bits in any chunk.  The single
-term repeats the coalition kernel's arithmetic for {i} bit for bit.
-Scores that overflow become infinite without a warning.
+coalition table.  A chunk of at most 2^14 trials takes two matrix products,
+(n, n) @ (n, w), its trials rounded up to a multiple of 2^10 columns w with
+the unused ones zeroed.  BLAS rounds by shape, but every such w gives a
+column the bits of the 2^14-column product, so a trial scores the same bits
+in any chunk.  The single term repeats the coalition kernel's arithmetic
+for {i} bit for bit.  Scores that overflow become infinite without a
+warning.
 
 Trial j reads entry j mod 2^14 of three SFC64 streams, seeded by
 ``SeedSequence(seed, spawn_key=(j // 2^14, role))``: its label uniform, its
@@ -20,9 +22,10 @@ n ziggurat normals and its attack offsets.  So results do not depend on
 the chunking, the order the chunks run in or the number of workers.
 
 The trial chunks, the four class sorts and the fine threshold counts of
-long spans run on one thread pool per process, sized by the usable CPUs.
-``_simulate_chunks`` hands each chunk's scores to its caller:
-``simulate_scores`` copies them into trial order, and ``run_experiment``'s
+long spans run in ``_run_all``: the calling thread takes them from one
+shared iterator beside the workers of one thread pool per process, one per
+usable CPU but one.  ``_simulate_chunks`` hands each chunk's scores to its
+caller: ``simulate_scores`` copies them into trial order, and ``run_experiment``'s
 ``_simulate_classes`` takes them straight into reserved class slices of one
 (2, trials) array, attacked trials from the front and clean ones from the
 back, then sorts the four classes in place.  Each thread keeps two scratch
@@ -54,10 +57,13 @@ Z_95 = 1.96
 # most _WIDTH, and clean cuts per threshold-count block
 _TRIAL_CHUNK = 1 << 14
 _COUNT_BLOCK = 1 << 14
-# trials per product: BLAS picks its kernel, and so its rounding, by the
-# shapes, so every chunk's two matrix products span this many columns, and
-# each thread's scratch holds this many trials
+# trials per thread's scratch, and the widest product.  BLAS picks its
+# kernel, and so its rounding, by the shapes, so a chunk's two matrix
+# products span its trials rounded up to a multiple of _WIDTH_STEP columns:
+# every such width gives the columns of the _WIDTH-column product bit for
+# bit, which widths of 1, 4 or 300 columns did not
 _WIDTH = 1 << 14
+_WIDTH_STEP = 1 << 10
 # part of the definition of the trial stream, not a unit of work: trial j
 # draws from the generators of block j // _STREAM_BLOCK, one per role, so
 # changing it changes every trial, and a chunk of any size, _TRIAL_CHUNK
@@ -71,12 +77,15 @@ _FINE_PIECE = 1 << 10
 
 
 def _new_pool() -> ThreadPoolExecutor | None:
-    """A pool with one worker per usable CPU, or None on one CPU."""
+    """A pool with one worker per usable CPU but one, or None on one CPU.
+
+    The calling thread of ``_run_all`` is the last CPU's worker.
+    """
     try:
-        workers = len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
-        workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(workers, "shaploc") if workers > 1 else None
+        cpus = os.cpu_count() or 1
+    return ThreadPoolExecutor(cpus - 1, "shaploc") if cpus > 1 else None
 
 
 # threads start on first use, not at import
@@ -95,20 +104,45 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_all(fn, items) -> None:
-    """Call ``fn`` on every item, on the pool when there is one.
+    """Call ``fn`` on every item, in the calling thread and the pool's workers.
 
-    Every call has finished when this returns or raises; the first
-    exception, in item order, is raised.
+    The caller and at most one helper per pool worker take the items one
+    at a time from one shared iterator until none are left.  Every call
+    has finished when this returns or raises; the first exception, in item
+    order, is raised.  The caller drains the items itself and cancels the
+    helpers that never started, so an ``fn`` that calls ``_run_all`` never
+    waits for a busy worker.
     """
+    todo = enumerate(items)
+    lock = threading.Lock()
+    failed = {}
+
+    def drain() -> None:
+        while True:
+            with lock:
+                k, item = next(todo, (-1, None))
+            if k < 0:
+                return
+            try:
+                fn(item)
+            except Exception as exc:  # raised by the caller, after every call
+                failed[k] = exc
+
     pool = _POOL
-    if pool is None:
-        for item in items:
-            fn(item)
-        return
-    futures = [pool.submit(fn, item) for item in items]
-    wait(futures)
-    for future in futures:
-        future.result()
+    helpers = [] if pool is None else [
+        pool.submit(drain) for _ in range(min(pool._max_workers, len(items) - 1))
+    ]
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.cancel()
+        wait(helpers)
+    for helper in helpers:
+        if not helper.cancelled():
+            helper.result()
+    if failed:
+        raise failed[min(failed)]
 
 
 class DegenerateLabelsError(ValueError):
@@ -247,16 +281,17 @@ def _chunk_observations(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(observations, attacked labels, spare) for trials start..start+count-1.
 
-    ``count`` is at most _WIDTH.  The observations are sensor-major,
-    (n, _WIDTH) with the chunk's trials in the first count columns and
-    zeros after them, and live in this thread's scratch, as does the spare
-    buffer of at least n + t rows of _WIDTH, t being the number of
-    targets; both are overwritten by the thread's next chunk.  The labels
-    are the caller's.  A trial is attacked when its label uniform lies
-    below the prior.  Each target's offset, finite by ``AttackSpec``'s
-    checks, is injected as ``attacked * offset``, so a clean trial adds a
-    zero, which can change only the sign of a zero observation and leaves
-    ``x - mean`` bit for bit the same.
+    ``count`` is at most _WIDTH.  The observations are sensor-major, n
+    rows of the count rounded up to a multiple of _WIDTH_STEP, with the
+    chunk's trials in the first count columns and zeros after them.  They
+    live in this thread's scratch, as does the spare buffer of at least
+    n + t rows of _WIDTH, t being the number of targets; both are
+    overwritten by the thread's next chunk.  The labels are the caller's.
+    A trial is attacked when its label uniform lies below the prior.  Each
+    target's offset, finite by ``AttackSpec``'s checks, is injected as
+    ``attacked * offset``, so a clean trial adds a zero, which can change
+    only the sign of a zero observation and leaves ``x - mean`` bit for bit
+    the same.
     """
     model = config.model
     n = model.n
@@ -267,8 +302,9 @@ def _chunk_observations(
     _TrialStream(config.seed, _LABELS, start, count).random(out=labels)
     attacked = labels < config.attack_prior
     # trial-major normals in the first n rows, over the spent uniforms, and
-    # zeros in the unused trials so that the product spans all _WIDTH columns
-    z = wide[:n].reshape(_WIDTH, n)
+    # zeros in the unused trials up to the product's width
+    width = -(-count // _WIDTH_STEP) * _WIDTH_STEP
+    z = wide[:n].reshape(_WIDTH, n)[:width]
     _TrialStream(config.seed, _NORMALS, start, count).standard_normal(out=z[:count])
     z[count:] = 0.0
     offsets = draw_offsets(
@@ -277,28 +313,13 @@ def _chunk_observations(
         wide[n:].reshape(-1)[: count * t].reshape(count, t),
     )
     # sensor-major, so the mean, the attack and the scoring run over contiguous rows
-    xs = np.matmul(model.chol, z.T, out=narrow[:n])
+    xs = np.matmul(model.chol, z.T, out=narrow[:n, :width])
     xs[:, :count] += model.mean[:, None]
     shift = wide[0, :count]  # the normals are spent
     for col, j in enumerate(targets):
         np.multiply(attacked, offsets[:, col], out=shift)
         xs[j, :count] += shift
     return xs, attacked, wide
-
-
-def _trial_observations(
-    config: ExperimentConfig, start: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(observations, attacked labels) for trials start..start+count-1.
-
-    The trials are taken _WIDTH at a time, each tile as one chunk.
-    """
-    xs, attacked = np.empty((config.model.n, count)), np.empty(count, dtype=bool)
-    for lo in range(0, count, _WIDTH):
-        hi = min(lo + _WIDTH, count)
-        tile, attacked[lo:hi], _ = _chunk_observations(config, start + lo, hi - lo)
-        xs[:, lo:hi] = tile[:, : hi - lo]
-    return xs.T, attacked
 
 
 @lru_cache(maxsize=8)
@@ -322,10 +343,10 @@ def _simulate_chunk(
 
     The scores are views of this thread's scratch, overwritten by its next
     chunk; the labels are the caller's.  ``count`` is at most _WIDTH.  Both
-    matrix products span all _WIDTH columns, whatever the count, and the
-    rest is elementwise over trials in an order fixed by n, so a trial's
-    scores do not depend on the chunk.  Scores that overflow become
-    infinite without a warning.
+    matrix products span the count rounded up to a multiple of _WIDTH_STEP
+    columns, and the rest is elementwise over trials in an order fixed by
+    n, so a trial's scores do not depend on the chunk.  Scores that
+    overflow become infinite without a warning.
     """
     with np.errstate(over="ignore"):
         d, attacked, spare = _chunk_observations(config, start, count)
@@ -334,7 +355,7 @@ def _simulate_chunk(
         c, a, half_precision, half_log_var = _scoring_form(config.model, i)
         # the spare's first n rows take A @ d over the spent normals, and phi
         # is summed into the first of them; v takes the row after them
-        g = np.matmul(a, d, out=spare[:n])[:, :count]
+        g = np.matmul(a, d, out=spare[:n, : d.shape[1]])[:, :count]
         g *= d[:, :count]
         phi = g[0]
         for row in g[1:]:

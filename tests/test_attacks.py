@@ -3,7 +3,8 @@ import pytest
 
 from shaploc import AttackSpec, Coalition, ExperimentConfig, GaussianModel
 from shaploc.attacks import draw_offsets
-from shaploc.harness import _trial_observations
+
+from harness_helpers import trial_observations
 
 T1 = Coalition.of([0], 2)
 
@@ -68,7 +69,7 @@ def test_offsets_that_could_overflow_are_rejected():
     ):
         assert np.isfinite(draw_offsets(attack, Fixed(extremes), np.empty((3, 1)))).all()
         config = ExperimentConfig(model=model, attack=attack, trials=2000, seed=1)
-        xs, attacked = _trial_observations(config, 0, 2000)
+        xs, attacked = trial_observations(config, 0, 2000)
         assert 0 < np.count_nonzero(attacked) < 2000
         assert np.isfinite(xs[~attacked]).all()
 
@@ -109,7 +110,7 @@ def test_non_targets_bit_identical():
     model = GaussianModel([0.0, 1.0, -1.0], np.eye(3) + 0.3)
     targets = Coalition.of([1], 3)
     runs = [
-        _trial_observations(ExperimentConfig(model=model, attack=attack, trials=200, seed=3), 0, 200)
+        trial_observations(ExperimentConfig(model=model, attack=attack, trials=200, seed=3), 0, 200)
         for attack in (
             AttackSpec(kind="A", am=0.0, targets=targets),
             AttackSpec(kind="B", am=5.0, targets=targets, sigma_a=2.0),

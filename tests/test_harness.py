@@ -27,11 +27,10 @@ from shaploc import (
     simulate_scores,
 )
 from shaploc import harness
-from shaploc.harness import _trial_observations
 from shaploc.shapley import gaussian_shapley_form
 from shaploc.suite import experiment_seed
 
-from harness_helpers import chunk, optimize_exact, optimize_grid
+from harness_helpers import chunk, optimize_exact, optimize_grid, trial_observations
 
 
 def arrays_from(clean, attacked):
@@ -443,7 +442,7 @@ def test_chunk_scores_match_the_coalition_table():
     for n, sensor in ((1, 0), (2, 1), (5, 2), (10, 0), (10, 9)):
         config = random_config(n, 15 + n, sensor, 300)
         for start, count in ((0, 300), (17, 1), (40, 64)):
-            xs, _ = _trial_observations(config, start, count)
+            xs, _ = trial_observations(config, start, count)
             phi, v, _ = chunk(config, start, count)
             for x, phi_x, v_x in zip(xs, phi, v):
                 table = config.model.coalition_values(x)
@@ -484,7 +483,7 @@ def test_chunk_results_never_share_the_threads_kept_scratch():
         for kind in ("A", "B", "C"):
             config = kind_config(n, kind, 60 + n)
             for count in (300, 1, 64):
-                for fn in (chunk, _trial_observations):
+                for fn in (chunk, trial_observations):
                     got = fn(config, 3, count)
                     want = on_a_fresh_thread(fn, config, 0, count + 3)
                     assert all(
@@ -592,6 +591,50 @@ def test_split_chunks_score_the_whole_blocks_bits_at_every_kernel_edge():
         assert np.array_equal(phi, phi_there) and np.array_equal(v, v_there)
 
 
+def narrow_product_mismatches(ns):
+    """(n, width, product) of every product of a multiple-of-2^10 width whose
+    columns differ from those of the full-width product.
+
+    Both products are made as the harness makes them: ``chol @ z.T`` from a
+    trial-major ``z`` in a wide scratch buffer, then ``A @ d`` from the
+    sensor-major result, each written into a view of a full-width buffer.
+    """
+    full = harness._WIDTH
+    found = []
+    for n in ns:
+        rng = np.random.default_rng([81, n])
+        b = rng.normal(size=(n, n))
+        chol = np.linalg.cholesky(b @ b.T / n + np.eye(n))
+        a = b + b.T
+        wide, narrow, spare = (np.empty((n, full)) for _ in range(3))
+        z = wide.reshape(full, n)
+        z[:] = rng.normal(size=z.shape)
+        d_full = np.matmul(chol, z.T, out=narrow).copy()
+        g_full = np.matmul(a, d_full, out=spare).copy()
+        for width in range(1 << 10, full + 1, 1 << 10):
+            d = np.matmul(chol, z[:width].T, out=narrow[:, :width])
+            if not np.array_equal(d, d_full[:, :width]):
+                found.append((n, width, "chol @ z.T"))
+            g = np.matmul(a, d, out=spare[:, :width])
+            if not np.array_equal(g, g_full[:, :width]):
+                found.append((n, width, "A @ d"))
+    return found
+
+
+NARROW_PRODUCTS = """
+import pickle, sys
+from test_harness import narrow_product_mismatches
+pickle.dump(narrow_product_mismatches(pickle.load(sys.stdin.buffer)), sys.stdout.buffer)
+"""
+
+
+def test_products_of_every_multiple_of_2_10_columns_keep_the_full_width_bits():
+    # a short chunk's products span its trials rounded up to 2^10 columns
+    ns = list(range(1, 25))
+    assert narrow_product_mismatches(ns) == []
+    assert in_one_blas_thread(NARROW_PRODUCTS, ns) == []
+
+
 # the stream's definition: trial j draws from block j // 2^14
 STREAM_BLOCK = 1 << 14
 
@@ -657,7 +700,7 @@ def test_injection_matches_the_trial_major_reference(kind, targets):
     )
     config = ExperimentConfig(model=model, attack=attack, trials=400, seed=31)
     for start, count in CHUNKS:
-        xs, attacked = _trial_observations(config, start, count)
+        xs, attacked = trial_observations(config, start, count)
         want, want_attacked, clean = reference_observations(config, start, count)
         assert xs.shape == (count, 2)
         assert np.array_equal(attacked, want_attacked)
@@ -673,7 +716,7 @@ def test_injection_matches_the_trial_major_reference(kind, targets):
 def test_a_wide_model_matches_the_reference_across_blocks(kind):
     config = kind_config(6, kind, 32)
     for start, count in CHUNKS:
-        xs, attacked = _trial_observations(config, start, count)
+        xs, attacked = trial_observations(config, start, count)
         want, want_attacked, _ = reference_observations(config, start, count)
         assert np.array_equal(attacked, want_attacked)
         assert np.array_equal(xs, want)
@@ -742,7 +785,7 @@ def test_a_zero_draw_is_attacked_and_offsets_by_am(monkeypatch, kind, prior):
         assert want_attacked[zero].all()
         if prior < 1e-299:
             assert np.array_equal(want_attacked, zero)
-        xs, attacked = _trial_observations(config, start, count)
+        xs, attacked = trial_observations(config, start, count)
         assert np.array_equal(attacked, want_attacked)
         assert np.array_equal(xs, want)
         phi, v, attacked = chunk(config, start, count)
@@ -768,9 +811,9 @@ def test_the_stream_follows_the_model_and_the_attack_law(n, kind):
     config = ExperimentConfig(
         model=model, attack=attack, trials=m, attack_prior=prior, seed=4242
     )
-    xs, attacked = _trial_observations(config, 0, m)
+    xs, attacked = trial_observations(config, 0, m)
     # the labels and normals do not depend on the attack
-    plain, attacked_again = _trial_observations(
+    plain, attacked_again = trial_observations(
         replace(config, attack=AttackSpec(kind="A", am=0.0, targets=targets)), 0, m
     )
     assert np.array_equal(attacked, attacked_again)
@@ -822,7 +865,7 @@ def test_linear_statistic_reaches_the_bayes_error_on_table2():
     for index, (name, spec) in enumerate(suite.experiments):
         config = spec.to_config(experiment_seed(suite.seed, index))
         model = config.model
-        xs, attacked = _trial_observations(config, 0, trials)
+        xs, attacked = trial_observations(config, 0, trials)
         shift = np.zeros(model.n)
         shift[list(config.attack.targets)] = config.attack.am
         w = np.linalg.solve(model.cov, shift)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -148,6 +149,14 @@ def test_more_workers_than_cores_and_fast_switching_give_the_same_bits(monkeypat
     assert got == want
 
 
+def child_env():
+    """This process's environment, with the package's source tree on the path."""
+    src = str(Path(shaploc.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks")
 def test_a_one_cpu_process_prints_the_pooled_csv(pool, tmp_path):
     args = ["preset", "table2", "--trials", "20000", "--seed", "7", "--no-timestamp"]
@@ -163,29 +172,36 @@ def test_a_one_cpu_process_prints_the_pooled_csv(pool, tmp_path):
         "assert harness._POOL is None\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    src = str(Path(shaploc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
     subprocess.run(
         [sys.executable, "-c", script, *args, "--out", str(serial)],
-        env=env, check=True, timeout=300,
+        env=child_env(), check=True, timeout=300,
     )
     assert serial.read_bytes() == pooled.read_bytes()
 
 
-def run_a_suite_with_a_failing_chunk(monkeypatch):
-    """Threads that ran the failing chunk, after checking that only its row failed."""
+def run_a_suite_with_a_failing_chunk(monkeypatch, on_a_worker=False):
+    """Threads that ran the failing chunk, after checking that only its row failed.
+
+    The bad experiment's second chunk fails.  With ``on_a_worker``, its
+    chunks fail on every thread but the calling one, which waits for the
+    first failure before it scores a chunk of its own.
+    """
     failed_on = []
+    failed = threading.Event()
     simulate_chunk = harness._simulate_chunk
 
-    def fail_second_chunk(config, start, count):
-        if config.attack.am == 2.0 and start == _TRIAL_CHUNK:
-            failed_on.append(threading.current_thread())
-            raise RuntimeError("chunk failed")
+    def fail_a_chunk(config, start, count):
+        if config.attack.am == 2.0:
+            on_the_caller = threading.current_thread() is threading.main_thread()
+            if (on_a_worker and not on_the_caller) or (not on_a_worker and start == _TRIAL_CHUNK):
+                failed_on.append(threading.current_thread())
+                failed.set()
+                raise RuntimeError("chunk failed")
+            if on_a_worker and not failed.wait(30):
+                raise RuntimeError("no worker took a chunk")
         return simulate_chunk(config, start, count)
 
-    monkeypatch.setattr(harness, "_simulate_chunk", fail_second_chunk)
+    monkeypatch.setattr(harness, "_simulate_chunk", fail_a_chunk)
     trials = 3 * _TRIAL_CHUNK
     cfg = SuiteConfig(experiments=tuple(
         (name, ExperimentSpec(attack_type="A", am=am, trials=trials))
@@ -202,8 +218,97 @@ def run_a_suite_with_a_failing_chunk(monkeypatch):
 
 
 def test_a_failing_chunk_fails_only_its_experiment(pool, monkeypatch):
-    failed_on = run_a_suite_with_a_failing_chunk(monkeypatch)
+    assert run_a_suite_with_a_failing_chunk(monkeypatch)
+
+
+def test_a_workers_failing_chunk_fails_only_its_experiment(pool, monkeypatch):
+    failed_on = run_a_suite_with_a_failing_chunk(monkeypatch, on_a_worker=True)
     assert failed_on and threading.main_thread() not in failed_on
+
+
+def recorded_run_all(items, fn=None):
+    """[(item, thread)] of every call ``_run_all`` made, in the order they started."""
+    calls = []
+
+    def record(item):
+        calls.append((item, threading.current_thread()))
+        if fn is not None:
+            fn(item)
+
+    harness._run_all(record, items)
+    return calls
+
+
+def test_run_all_calls_every_item_once_on_the_caller_and_every_worker(monkeypatch):
+    # items 0-2 each hold their thread until three threads hold one: the
+    # caller and both workers
+    barrier = threading.Barrier(3, timeout=30)
+    with ThreadPoolExecutor(2) as two:
+        monkeypatch.setattr(harness, "_POOL", two)
+        for items in (range(3), range(50), list(range(7))):
+            calls = recorded_run_all(items, lambda k: k < 3 and barrier.wait())
+            assert sorted(k for k, _ in calls) == list(items)
+            threads = {thread for k, thread in calls if k < 3}
+            assert len(threads) == 3 and threading.current_thread() in threads
+        assert recorded_run_all([]) == []
+        # one item runs in the caller, which submits no helper
+        assert recorded_run_all(["only"]) == [("only", threading.current_thread())]
+
+
+def test_run_all_without_a_pool_calls_every_item_in_order_in_the_caller(monkeypatch):
+    monkeypatch.setattr(harness, "_POOL", None)
+    caller = threading.current_thread()
+    assert recorded_run_all(range(9)) == [(k, caller) for k in range(9)]
+
+
+@pytest.mark.parametrize("pooled", [True, False], ids=["pool", "no pool"])
+def test_run_all_raises_the_first_failure_in_item_order_after_every_call(
+    monkeypatch, pooled
+):
+    # item 1 fails last, item 4 at once, and item 6 finishes long after both
+    finished = []
+
+    def run(k):
+        try:
+            time.sleep({1: 0.05, 6: 0.1}.get(k, 0.0))
+            if k in (1, 4):
+                raise ValueError(k)
+        finally:
+            finished.append(k)
+
+    with ThreadPoolExecutor(2) as two:
+        monkeypatch.setattr(harness, "_POOL", two if pooled else None)
+        with pytest.raises(ValueError) as raised:
+            harness._run_all(run, range(8))
+        assert raised.value.args == (1,)
+        assert sorted(finished) == list(range(8))
+
+
+NESTED_RUN_ALL = """
+import os, sys, threading
+from concurrent.futures import ThreadPoolExecutor
+from shaploc import harness
+calls = []
+def outer(k):
+    harness._run_all(lambda item: calls.append((k, item)), range(3))
+harness._POOL = ThreadPoolExecutor(2)
+runner = threading.Thread(target=harness._run_all, args=(outer, range(2)), daemon=True)
+runner.start()
+runner.join(30)
+print(sorted(calls), flush=True)
+# a hung pool's workers would hold up the interpreter's exit
+os._exit(3 if runner.is_alive() else 0)
+"""
+
+
+def test_a_nested_run_all_returns():
+    # two outer items each wait for three inner items: run by the pool's two
+    # workers alone, both would wait for inner items no thread was free to run
+    done = subprocess.run(
+        [sys.executable, "-c", NESTED_RUN_ALL], env=child_env(), capture_output=True, timeout=120
+    )
+    assert done.returncode == 0, "the nested _run_all never returned"
+    assert done.stdout.decode().strip() == str([(k, i) for k in range(2) for i in range(3)])
 
 
 def in_order(order):
