@@ -8,7 +8,7 @@ both and prints the step-to-step growth ratios.
 
 from shaploc.suite import bench
 
-rows = bench(range(2, 15), reps=3)
+rows = bench(range(2, 15))
 
 print(f"{'n':>3} {'shapley':>12} {'single-term':>12} {'shapley x':>10} {'single x':>10}")
 prev = None

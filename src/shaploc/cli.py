@@ -56,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench", parents=[output], help="time full enumeration vs single-term"
     )
     p_bench.add_argument("--max-n", type=int, default=18)
-    p_bench.add_argument("--reps", type=int, default=2)
     return parser
 
 
@@ -88,7 +87,7 @@ def main(argv=None) -> int:
             return 1
         if not _emit("", args.out, "a"):
             return 1
-        rows = bench(range(1, args.max_n + 1), reps=args.reps)
+        rows = bench(range(1, args.max_n + 1))
         return 0 if _emit(render_bench(rows), args.out) else 1
 
     try:

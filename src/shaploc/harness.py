@@ -182,9 +182,9 @@ class ExperimentConfig:
         for name in ("sensor_under_test", "trials", "seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.trials < 1:
-            raise ValueError("need at least one trial")
+            raise ValueError("trials: need at least one trial")
         if not 0.0 < self.attack_prior < 1.0:
-            raise ValueError("attack prior must lie strictly inside (0, 1)")
+            raise ValueError("attack_prior: must lie strictly inside (0, 1)")
         if not 0 <= self.seed < 1 << 128:
             raise ValueError("seed must lie in [0, 2**128)")
         if not 0 <= self.sensor_under_test < self.model.n:
@@ -195,7 +195,7 @@ class ExperimentConfig:
             raise ValueError("attack universe does not match the model")
         mode = self.threshold_mode
         if not (isinstance(mode, GridSpec) or (isinstance(mode, str) and mode == "exact")):
-            raise ValueError(f"unknown threshold mode {mode!r}")
+            raise ValueError(f"threshold_mode: unknown threshold mode {mode!r}")
 
 
 @dataclass(frozen=True)

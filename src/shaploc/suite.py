@@ -4,6 +4,11 @@ A suite is a list of named two-sensor experiments described either in an
 INI-style config file or by one of the built-in presets (the independent
 and correlated parameter grids).  Each experiment is run through the Monte
 Carlo harness and reported as one row of a CSV or markdown table.
+
+A config file is read through one table per section, mapping each key to
+its reader.  ``ExperimentSpec`` checks only what its scalar, 1-based form
+adds, then builds its harness objects once, so that their own checks
+refuse the rest when the config is parsed rather than when it runs.
 """
 
 from __future__ import annotations
@@ -75,6 +80,8 @@ class ExperimentSpec:
     threshold_mode: GridSpec | str = "exact"
 
     def __post_init__(self) -> None:
+        # only what the scalar, 1-based form adds; the harness objects
+        # that to_config builds check the rest
         for key in ("trials", "sensor_under_test"):
             object.__setattr__(self, key, _integer(key, getattr(self, key)))
         try:
@@ -89,24 +96,19 @@ class ExperimentSpec:
         if not abs(self.rho) < 1:
             raise ConfigError("rho: correlation out of range (need |rho| < 1)")
         for key in ("sigma1", "sigma2"):
-            if getattr(self, key) <= 0:
+            sigma = getattr(self, key)
+            if sigma <= 0:
                 raise ConfigError(f"{key}: must be positive")
+            if not sigma * sigma < math.inf:
+                raise ConfigError(f"{key}: its square overflows float64")
         if self.sensor_under_test not in (1, 2):
             raise ConfigError("sensor_under_test: must be 1 or 2")
         if not self.targets or any(t not in (1, 2) for t in self.targets):
             raise ConfigError("targets: must be a non-empty subset of {1, 2}")
-        # AttackSpec re-validates; surface its message under the field name
         try:
-            self.attack()
-        except (TypeError, ValueError) as exc:
+            self.to_config(0)
+        except (TypeError, ValueError, ArithmeticError) as exc:
             raise ConfigError(str(exc)) from None
-        if self.trials < 1:
-            raise ConfigError("trials: must be at least 1")
-        if not 0.0 < self.attack_prior < 1.0:
-            raise ConfigError("attack_prior: must lie strictly inside (0, 1)")
-        mode = self.threshold_mode
-        if not (isinstance(mode, GridSpec) or (isinstance(mode, str) and mode == "exact")):
-            raise ConfigError(f"threshold_mode: unknown threshold mode {mode!r}")
 
     def model(self) -> GaussianModel:
         c = self.rho * self.sigma1 * self.sigma2
@@ -166,82 +168,68 @@ class SuiteConfig:
 # ----------------------------------------------------------------------
 # config file parsing
 
-_SUITE_KEYS = {"seed", "format", "out", "trials"}
-_EXPERIMENT_KEYS = {
-    "rho", "sigma1", "sigma2", "mu1", "mu2", "attack_type", "am", "sigma_a",
-    "um", "targets", "sensor_under_test", "trials", "attack_prior",
-    "threshold_mode", "grid_lo", "grid_hi", "grid_steps",
-}
-
-
-# the numeric experiment keys besides am, in the order their errors are reported
-_EXPERIMENT_NUMBERS = (
-    "rho", "sigma1", "sigma2", "mu1", "mu2", "sigma_a", "um",
-    "sensor_under_test", "trials", "attack_prior",
-)
-_EXPERIMENT_INTEGERS = {"sensor_under_test", "trials"}
-
-
-def _get_float(section, key):
-    raw = section.get(key)
-    if raw is None:
-        raise ConfigError(f"[{section.name}] missing required key {key!r}")
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section.name}] {key}: not a number: {raw!r}") from None
+def _finite(raw: str) -> float:
+    value = float(raw)
     if not math.isfinite(value):
-        raise ConfigError(f"[{section.name}] {key}: not a finite number: {raw!r}")
+        raise ValueError(raw)
     return value
 
 
-def _get_int(section, key):
-    raw = section[key]  # no integer key is required
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section.name}] {key}: not an integer: {raw!r}") from None
+def _sensors(raw: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in raw.replace(",", " ").split())
+
+
+# each section's keys and their readers; what a reader reads, for its errors
+_READS = {_finite: "a finite number", int: "an integer", _sensors: "a sensor list"}
+_SUITE_KEYS = {"seed": int, "format": str, "out": str, "trials": int}
+_GRID_KEYS = ("grid_lo", "grid_hi", "grid_steps")
+_EXPERIMENT_KEYS = {
+    "rho": _finite, "sigma1": _finite, "sigma2": _finite, "mu1": _finite,
+    "mu2": _finite, "attack_type": str, "am": _finite, "sigma_a": _finite,
+    "um": _finite, "targets": _sensors, "sensor_under_test": int, "trials": int,
+    "attack_prior": _finite, "threshold_mode": str,
+    "grid_lo": _finite, "grid_hi": _finite, "grid_steps": int,
+}
+
+
+def _read(section, keys: dict, required=()) -> dict:
+    """Each of the section's keys through its reader in ``keys``.
+
+    Unknown keys, missing ``required`` ones and values a reader refuses
+    are a ConfigError naming the section and the key.
+    """
+    unknown = set(section) - keys.keys()
+    if unknown:
+        raise ConfigError(f"[{section.name}] unknown keys: {sorted(unknown)}")
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"[{section.name}] missing required key {key!r}")
+    values = {}
+    for key, raw in section.items():
+        try:
+            values[key] = keys[key](raw)
+        except ValueError:
+            raise ConfigError(
+                f"[{section.name}] {key}: not {_READS[keys[key]]}: {raw!r}"
+            ) from None
+    return values
 
 
 def _parse_experiment(section, defaults: dict) -> ExperimentSpec:
     """The section's experiment; keys it leaves out take ``defaults``, then ExperimentSpec's."""
-    unknown = set(section.keys()) - _EXPERIMENT_KEYS
-    if unknown:
-        raise ConfigError(f"[{section.name}] unknown keys: {sorted(unknown)}")
-    attack_type = section.get("attack_type")
-    if attack_type is None:
-        raise ConfigError(f"[{section.name}] missing required key 'attack_type'")
-    fields = dict(defaults, attack_type=attack_type.strip())
-    mode = section.get("threshold_mode")
-    if mode == "exact-sort":
-        fields["threshold_mode"] = "exact"
-    elif mode == "grid":
-        # the getters' errors already name the section: prefix only GridSpec's
-        lo = _get_float(section, "grid_lo")
-        hi = _get_float(section, "grid_hi")
-        steps = _get_int(section, "grid_steps") if "grid_steps" in section else 0  # refused below
-        try:
-            fields["threshold_mode"] = GridSpec(lo=lo, hi=hi, steps=steps)
-        except ValueError as exc:
-            raise ConfigError(f"[{section.name}] {exc}") from None
-    elif mode is not None:
-        raise ConfigError(
-            f"[{section.name}] threshold_mode: expected 'exact-sort' or 'grid', "
-            f"got {mode!r}"
-        )
-    if "targets" in section:
-        targets = section["targets"]
-        try:
-            fields["targets"] = tuple(int(t) for t in targets.replace(",", " ").split())
-        except ValueError:
-            raise ConfigError(f"[{section.name}] targets: not a sensor list: {targets!r}") from None
-    fields["am"] = _get_float(section, "am")
-    for key in _EXPERIMENT_NUMBERS:
-        if key in section:
-            fields[key] = (_get_int if key in _EXPERIMENT_INTEGERS else _get_float)(section, key)
+    grid = section.get("threshold_mode") == "grid"
+    required = ("attack_type", "am") + (_GRID_KEYS if grid else ())
+    fields = defaults | _read(section, _EXPERIMENT_KEYS, required)
+    mode = fields.pop("threshold_mode", "exact-sort")
     try:
+        if grid:
+            fields["threshold_mode"] = GridSpec(*(fields.pop(key) for key in _GRID_KEYS))
+        elif mode != "exact-sort":
+            raise ConfigError(f"threshold_mode: expected 'exact-sort' or 'grid', got {mode!r}")
+        elif stray := [key for key in _GRID_KEYS if key in fields]:
+            raise ConfigError(f"{', '.join(stray)}: apply only with threshold_mode = grid")
         return ExperimentSpec(**fields)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         raise ConfigError(f"[{section.name}] {exc}") from None
 
 
@@ -257,29 +245,19 @@ def parse_config(path) -> SuiteConfig:
         # configparser messages already carry the offending line number
         raise ConfigError(str(exc)) from None
 
-    suite = {}
-    experiment_defaults = {}  # [suite] trials, for the experiments after it
+    # [suite] first, so that its trials reach every experiment wherever it sits
+    suite = _read(parser["suite"], _SUITE_KEYS) if parser.has_section("suite") else {}
+    defaults = {"trials": suite.pop("trials")} if "trials" in suite else {}
+    if "format" in suite:
+        suite["fmt"] = suite.pop("format")
     experiments = []
     for name in parser.sections():
-        section = parser[name]
-        if name == "suite":
-            unknown = set(section.keys()) - _SUITE_KEYS
-            if unknown:
-                raise ConfigError(f"[suite] unknown keys: {sorted(unknown)}")
-            if "seed" in section:
-                suite["seed"] = _get_int(section, "seed")
-            if "format" in section:
-                suite["fmt"] = section["format"]
-            if "out" in section:
-                suite["out"] = section["out"]
-            if "trials" in section:
-                experiment_defaults["trials"] = _get_int(section, "trials")
-        elif name.startswith("experiment."):
+        if name.startswith("experiment."):
             exp_name = name[len("experiment."):]
             if not exp_name:
                 raise ConfigError(f"empty experiment name in section [{name}]")
-            experiments.append((exp_name, _parse_experiment(section, experiment_defaults)))
-        else:
+            experiments.append((exp_name, _parse_experiment(parser[name], defaults)))
+        elif name != "suite":
             raise ConfigError(
                 f"unknown section [{name}]; expected [suite] or [experiment.<name>]"
             )
@@ -408,6 +386,9 @@ def render_rows(
 # complexity bench
 
 
+_BENCH_ROUNDS = 9
+
+
 def _seconds_per_call(fn, min_seconds: float = 0.05) -> float:
     """Mean wall time of ``fn()``, repeated until the repeats span ``min_seconds``."""
     calls = 0
@@ -420,12 +401,12 @@ def _seconds_per_call(fn, min_seconds: float = 0.05) -> float:
             return elapsed / calls
 
 
-def bench(n_list, reps: int = 2, seed: int = 0) -> list[dict]:
+def bench(n_list, seed: int = 0) -> list[dict]:
     """Wall-time comparison of full enumeration vs the single-term score.
 
     For each universe size, times ``all_shapley`` and the n single-sensor
     scores on a random independent model, and reports each statistic's
-    median over ``reps`` rounds (at least 9).  Each timing repeats its call
+    median over _BENCH_ROUNDS rounds.  Each timing repeats its call
     until it is measurable, and the sizes take turns within every round, so
     a slow or fast phase of the machine reaches all of them; the median
     ignores the phases that a best-of would pick up.  ``all_shapley`` takes
@@ -450,7 +431,7 @@ def bench(n_list, reps: int = 2, seed: int = 0) -> list[dict]:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(max(reps, 9)):
+        for _ in range(_BENCH_ROUNDS):
             for (shapley_s, single_s), (n, vf, x, observations, singles) in zip(samples, cases):
                 shapley_s.append(_seconds_per_call(lambda: all_shapley(vf, next(observations))))
                 single_s.append(_seconds_per_call(lambda: single_terms(vf, x, singles)))

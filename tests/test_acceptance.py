@@ -216,7 +216,7 @@ def test_criterion_8_monotonicity_in_sigma(independent_type_a_runs):
 
 def test_criterion_9_complexity_scaling():
     tic = time.perf_counter()
-    rows = bench(range(13, 19), reps=3)
+    rows = bench(range(13, 19))
     elapsed = time.perf_counter() - tic
     shap_ratios = [
         rows[i]["t_shapley"] / rows[i - 1]["t_shapley"] for i in range(1, len(rows))

@@ -52,11 +52,13 @@ def test_non_finite_config_numbers_exit_code(tmp_path, capsys):
 
 def test_config_error_names_its_section_once(tmp_path, capsys):
     for extra in (
-        "sigma1 = inf",                # a float getter's error
-        "trials = many",               # an integer getter's error
+        "sigma1 = inf",                # a float reader's error
+        "trials = many",               # an integer reader's error
         "rho = 2",                     # ExperimentSpec's error
         "threshold_mode = grid\ngrid_lo = 0\ngrid_hi = inf\ngrid_steps = 10",
         "threshold_mode = grid\ngrid_lo = 1\ngrid_hi = 0\ngrid_steps = 10",
+        "sigma1 = 1e200",              # a model that cannot be built, once a FAILED row
+        "sigma2 = 1e-300",
     ):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(f"[experiment.x]\nattack_type = A\nam = 1\n{extra}\n")
@@ -117,7 +119,7 @@ def test_preset_table1_markdown(tmp_path, capsys):
 
 
 def test_bench_small(capsys):
-    assert main(["bench", "--max-n", "3", "--reps", "1"]) == 0
+    assert main(["bench", "--max-n", "3"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("n,t_shapley_s")
     assert len(out.strip().splitlines()) == 4

@@ -37,7 +37,7 @@ def test_the_explanation_path_and_bench_load_no_scipy():
         "assert exact_shapley(vf, x, 1) == phi[1]\n"
         "truncated_shapley(vf, x, 1, lambda s: len(s) <= 1)\n"
         "sampled_shapley(vf, x, 1, 10, np.random.default_rng(0))\n"
-        "assert shaploc.cli.main(['bench', '--max-n', '3', '--reps', '1']) == 0\n"
+        "assert shaploc.cli.main(['bench', '--max-n', '3']) == 0\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )

@@ -1,9 +1,11 @@
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from shaploc import ConfigError, ExperimentSpec, GaussianModel, SuiteConfig, parse_config, run_suite
+from shaploc import suite
 from shaploc.harness import GridSpec, analytic_pe_gaussian
 from shaploc.suite import (
     COLUMNS,
@@ -88,6 +90,37 @@ def test_grid_mode_requires_bounds(tmp_path):
     text = MINIMAL + "threshold_mode = grid\n"
     with pytest.raises(ConfigError, match="grid_lo"):
         parse_config(write(tmp_path, text))
+
+
+def test_suite_section_applies_wherever_it_sits(tmp_path):
+    # its trials once reached only the experiments after it
+    cfg = parse_config(write(tmp_path, MINIMAL + "\n[suite]\ntrials = 1000\n"))
+    assert cfg.experiments[0][1].trials == 1000
+
+
+@pytest.mark.parametrize("keys", ["grid_lo = 0\ngrid_hi = 30\ngrid_steps = 100", "grid_steps = 100"])
+@pytest.mark.parametrize("mode", ["", "threshold_mode = exact-sort\n"])
+def test_grid_keys_need_grid_mode(tmp_path, keys, mode):
+    # they were dropped without a word, running the exact search instead
+    with pytest.raises(ConfigError, match=r"^\[experiment\.basic\] grid_.*threshold_mode = grid"):
+        parse_config(write(tmp_path, MINIMAL + mode + keys + "\n"))
+
+
+@pytest.mark.parametrize("sigma, message", [
+    ("sigma1 = 1e200", "sigma1: its square overflows"),
+    ("sigma2 = 1e200", "sigma2: its square overflows"),
+    ("sigma1 = 1e-300", "covariance is not positive definite"),
+])
+def test_a_covariance_that_cannot_be_built_is_a_config_error(tmp_path, sigma, message):
+    # both ran into a FAILED row at run time
+    with pytest.raises(ConfigError, match=f"^\\[experiment\\.basic\\] {message}"):
+        parse_config(write(tmp_path, MINIMAL + sigma + "\n"))
+
+
+def test_every_spec_field_is_a_config_key_and_back():
+    # a field the reader cannot fill, or a key with no field, fails here
+    keys = set(suite._EXPERIMENT_KEYS) - set(suite._GRID_KEYS)
+    assert keys == {f.name for f in fields(ExperimentSpec)}
 
 
 @pytest.mark.parametrize("body, key", [
@@ -337,7 +370,7 @@ def test_timestamp_header_is_optional():
 
 
 def test_bench_rows():
-    rows = bench(range(1, 5), reps=1)
+    rows = bench(range(1, 5))
     assert [row["n"] for row in rows] == [1, 2, 3, 4]
     for row in rows:
         assert row["t_shapley"] > 0
@@ -361,7 +394,7 @@ def test_bench_scores_a_table_on_every_timed_call(monkeypatch):
 
     monkeypatch.setattr(GaussianModel, "coalition_values", counted_score)
     monkeypatch.setattr(suite, "all_shapley", counted_explain)
-    bench([13, 14], reps=1)
+    bench([13, 14])
     assert len(calls) > 2 * 9
     assert len(tables) == len(calls)
 
