@@ -23,7 +23,6 @@ from .harness import (
     analytic_pe_gaussian,
     binomial_ci,
     run_experiment,
-    simulate_scores,
 )
 from .shapley import (
     AdditiveValueFunction,
@@ -82,7 +81,6 @@ __all__ = [
     "sampled_shapley",
     "shapley_from_values",
     "shapley_weight",
-    "simulate_scores",
     "truncated_shapley",
 ]
 

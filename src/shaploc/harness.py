@@ -21,19 +21,17 @@ Trial j reads entry j mod 2^14 of three SFC64 streams, seeded by
 n ziggurat normals and its attack offsets.  So results do not depend on
 the chunking, the order the chunks run in or the number of workers.
 
-The trial chunks, the four class sorts and the fine threshold counts of
-long spans run in ``_run_all``: the calling thread takes them from one
-shared iterator beside the workers of one thread pool per process, one per
-usable CPU but one.  ``_simulate_chunks`` hands each chunk's scores to its
-caller: ``simulate_scores`` copies them into trial order, and ``run_experiment``'s
-``_simulate_classes`` takes them straight into reserved class slices of one
-(2, trials) array, attacked trials from the front and clean ones from the
-back, then sorts the four classes in place.  Each thread keeps two scratch
-buffers for its lifetime, (n + t) x 2^14 and n x 2^14 doubles for t
-attacked sensors, which a chunk's scores are views of; no view leaves this
-module.  Workers write results only into arrays the calling thread
-allocated, because freed worker temporaries stay resident in glibc's
-per-thread heaps.
+The trial chunks, the four class sorts and the fine threshold counts run
+in ``_run_all``: the calling thread takes them from one shared iterator
+beside the workers of one thread pool per process, one per usable CPU but
+one.  ``_simulate_classes`` takes each chunk's scores straight into
+reserved class slices of one (2, trials) array, attacked trials from the
+front and clean ones from the back, then sorts the four classes in place.
+Each thread keeps two scratch buffers for its lifetime, (n + t) x 2^14 and
+n x 2^14 doubles for t attacked sensors, which a chunk's scores are views
+of; no view leaves this module.  Workers write results only into arrays
+the calling thread allocated, because freed worker temporaries stay
+resident in glibc's per-thread heaps.
 """
 
 from __future__ import annotations
@@ -367,37 +365,6 @@ def _simulate_chunk(
     return phi, v, attacked
 
 
-def _simulate_chunks(config: ExperimentConfig, take) -> None:
-    """Call ``take(start, phi, v, attacked)`` on every chunk, on the pool.
-
-    ``take`` gets ``_simulate_chunk``'s results, scratch views included,
-    and must move the scores out before it returns.
-    """
-    m, chunk = config.trials, _TRIAL_CHUNK
-    # build the form here, so the workers find it cached
-    _scoring_form(config.model, config.sensor_under_test)
-
-    def run(start: int) -> None:
-        take(start, *_simulate_chunk(config, start, min(chunk, m - start)))
-
-    _run_all(run, range(0, m, chunk))
-
-
-def simulate_scores(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All trial scores and labels in trial order, computed in deterministic chunks."""
-    m = config.trials
-    phi, v, labels = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
-
-    def take(
-        start: int, chunk_phi: np.ndarray, chunk_v: np.ndarray, attacked: np.ndarray
-    ) -> None:
-        stop = start + attacked.size
-        phi[start:stop], v[start:stop], labels[start:stop] = chunk_phi, chunk_v, attacked
-
-    _simulate_chunks(config, take)
-    return phi, v, labels
-
-
 def _simulate_classes(config: ExperimentConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """[sorted attacked scores, sorted clean scores] of phi, and of v.
 
@@ -410,13 +377,16 @@ def _simulate_classes(config: ExperimentConfig) -> tuple[list[np.ndarray], list[
     the chunks finished, but the classes are sorted before anything counts
     them.
     """
-    m = config.trials
+    m, chunk = config.trials, _TRIAL_CHUNK
     scores = np.empty((2, m))
     front, back = 0, m  # the attacked class grows from the front, the clean from the back
     lock = threading.Lock()
+    # build the form here, so the workers find it cached
+    _scoring_form(config.model, config.sensor_under_test)
 
-    def take(start: int, phi: np.ndarray, v: np.ndarray, attacked: np.ndarray) -> None:
+    def run(start: int) -> None:
         nonlocal front, back
+        phi, v, attacked = _simulate_chunk(config, start, min(chunk, m - start))
         attacked_at = np.flatnonzero(attacked)
         clean_at = np.flatnonzero(np.logical_not(attacked))
         with lock:
@@ -427,7 +397,7 @@ def _simulate_classes(config: ExperimentConfig) -> tuple[list[np.ndarray], list[
             phi.take(at, out=scores[0, lo : lo + at.size])
             v.take(at, out=scores[1, lo : lo + at.size])
 
-    _simulate_chunks(config, take)
+    _run_all(run, range(0, m, chunk))
     if front != back:
         raise RuntimeError(f"the class cursors did not meet: {front} != {back}")
     if front in (0, m):
@@ -471,17 +441,6 @@ def _exact_threshold(att: np.ndarray, clean: np.ndarray) -> tuple[float, float]:
     # clean class's bytes beyond 2^17 clean scores
     piece_size = max(_FINE_PIECE, n_clean // 128)
 
-    def least_errors(lo: int, hi: int) -> tuple[int, int]:
-        # (fewest errors, the first cut with that many) over cuts lo..hi-1
-        least, best = n_clean + 1, lo
-        for piece in range(lo, hi, piece_size):
-            errors = cut_errors(piece, min(piece + piece_size, hi))
-            k = int(np.argmin(errors))
-            if errors[k] < least:
-                least, best = int(errors[k]), piece + k
-            del errors  # freed before the next piece's scratch is allocated
-        return least, best
-
     # coarse pass: the errors at the first cut of every block of
     # _COARSE_STEP cuts; their minimum is an attained error count
     coarse = cut_errors(0, n_clean, _COARSE_STEP)
@@ -492,18 +451,25 @@ def _exact_threshold(att: np.ndarray, clean: np.ndarray) -> tuple[float, float]:
     first = int(np.argmax(kept)) * _COARSE_STEP
     stop = min((kept.size - int(np.argmax(kept[::-1]))) * _COARSE_STEP, n_clean)
     del coarse, kept  # freed before the fine pass allocates its scratch
-    # fine pass over the span from the first kept block to the last
+    # fine pass over the span from the first kept block to the last, a
+    # count block per item; a span of one block starts no helper
     blocks = range(first, stop, _COUNT_BLOCK)
-    if len(blocks) > 1:
-        found = np.empty((len(blocks), 2), dtype=np.intp)
+    found = np.empty((len(blocks), 2), dtype=np.intp)
 
-        def count(b: int) -> None:
-            found[b] = least_errors(blocks[b], min(blocks[b] + _COUNT_BLOCK, stop))
+    def count(b: int) -> None:
+        # (fewest errors, the first cut with that many) over the block's cuts
+        lo, hi = blocks[b], min(blocks[b] + _COUNT_BLOCK, stop)
+        least, best = n_clean + 1, lo
+        for piece in range(lo, hi, piece_size):
+            errors = cut_errors(piece, min(piece + piece_size, hi))
+            k = int(np.argmin(errors))
+            if errors[k] < least:
+                least, best = int(errors[k]), piece + k
+            del errors  # freed before the next piece's scratch is allocated
+        found[b] = least, best
 
-        _run_all(count, range(len(blocks)))
-        least, best = map(int, found[np.argmin(found[:, 0])])
-    else:
-        least, best = least_errors(first, stop)
+    _run_all(count, range(len(blocks)))
+    least, best = map(int, found[np.argmin(found[:, 0])])
     if least >= n_clean:  # the cut below every score errs n_clean times
         return -math.inf, n_clean / total
     a = least - (n_clean - 1 - best)  # attacked scores at or below w
@@ -555,36 +521,30 @@ def analytic_pe_gaussian(sigma: float, am: float, attack_prior: float = 0.5) -> 
     The single term v({i}, x) = -ln f_i(x_i) reads d = x_i - mu_i alone,
     whatever the other sensors and their correlations: d ~ N(0, sigma^2)
     clean and N(am, sigma^2) when sensor i is attacked.  Thresholding v is
-    thresholding |d|, so the error probability reduces to a one-dimensional
-    function of the cut t, minimized here by golden-section search.
+    thresholding |d|, so the error probability is a function of the cut t.
+    Its derivative has the sign of p e^(-am^2 / 2 sigma^2) cosh(t am / sigma^2)
+    - (1 - p), which rises with t: with L = ln((1 - p) / p) + am^2 / 2 sigma^2,
+    the minimum lies at t = sigma^2 / |am| acosh(e^L) when am != 0 and L > 0,
+    taken in the log domain so that a tiny sigma does not overflow, and at
+    t = 0, where the error is 1 - p, otherwise.  With am = 0 it is min(p, 1 - p).
     """
     if not (0 < sigma < math.inf and math.isfinite(am)):
         raise ValueError("sigma must be positive and finite, and am finite")
     p = attack_prior
     if not 0.0 < p < 1.0:
         raise ValueError("attack prior must lie strictly inside (0, 1)")
+    odds, snr = math.log((1.0 - p) / p), abs(am) / sigma
+    if snr == 0.0:
+        return min(p, 1.0 - p)
+    level = odds + 0.5 * snr * snr
+    if level <= 0.0:
+        return 1.0 - p
+    # sigma^2 / |am| acosh(e^L), with the am^2 / 2 sigma^2 of L taken out
+    t = 0.5 * abs(am) + sigma / snr * (odds + math.log1p(math.sqrt(-math.expm1(-2.0 * level))))
 
     def ndtr(x: float) -> float:
         return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
-    def pe(t: float) -> float:
-        false_alarm = 2.0 * (1.0 - ndtr(t / sigma))
-        miss = ndtr((t - am) / sigma) - ndtr((-t - am) / sigma)
-        return (1.0 - p) * false_alarm + p * miss
-
-    lo, hi = 0.0, abs(am) + 8.0 * sigma
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = pe(c), pe(d)
-    while b - a > 1e-10:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = pe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = pe(d)
-    return pe(0.5 * (a + b))
+    false_alarm = 2.0 * (1.0 - ndtr(t / sigma))
+    miss = ndtr((t - am) / sigma) - ndtr((-t - am) / sigma)
+    return (1.0 - p) * false_alarm + p * miss

@@ -235,7 +235,8 @@ def _parse_experiment(section, defaults: dict) -> ExperimentSpec:
 
 def parse_config(path) -> SuiteConfig:
     """Parse and validate a suite config file; keys it leaves out take the dataclass defaults."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: [DEFAULT] is refused as an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as fh:
             parser.read_file(fh)

@@ -1,5 +1,6 @@
-"""What the harness tests share: chunk results and observations the caller
-owns, and threshold searches over trial-order scores and labels."""
+"""What the harness tests share: chunk results, trial-order scores and
+observations the caller owns, and threshold searches over trial-order
+scores and labels."""
 
 import numpy as np
 
@@ -13,6 +14,26 @@ def chunk(config, start, count):
     same thread would overwrite a first one that was not copied.
     """
     return tuple(a.copy() for a in harness._simulate_chunk(config, start, count))
+
+
+def trial_scores(config):
+    """(phi, v, attacked) of every trial, in trial order.
+
+    The chunks run through ``harness._run_all``, ``harness._TRIAL_CHUNK``
+    trials each, both read at call time, so a test that patches the pool,
+    ``_run_all`` or the chunk size sees its own chunking.
+    """
+    m, size = config.trials, harness._TRIAL_CHUNK
+    phi, v, attacked = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+
+    def run(start):
+        stop = min(start + size, m)
+        phi[start:stop], v[start:stop], attacked[start:stop] = harness._simulate_chunk(
+            config, start, stop - start
+        )
+
+    harness._run_all(run, range(0, m, size))
+    return phi, v, attacked
 
 
 def trial_observations(config, start, count):

@@ -24,13 +24,18 @@ from shaploc import (
     binomial_ci,
     run_experiment,
     shapley_from_values,
-    simulate_scores,
 )
 from shaploc import harness
 from shaploc.shapley import gaussian_shapley_form
 from shaploc.suite import experiment_seed
 
-from harness_helpers import chunk, optimize_exact, optimize_grid, trial_observations
+from harness_helpers import (
+    chunk,
+    optimize_exact,
+    optimize_grid,
+    trial_observations,
+    trial_scores,
+)
 
 
 def arrays_from(clean, attacked):
@@ -208,7 +213,7 @@ def test_every_returned_rule_recounts_to_its_pe():
 @pytest.mark.parametrize("am", [1.0, 1e300])
 def test_experiment_rules_recount_to_their_pe(am):
     config = two_sensor_config(trials=3000, seed=25, rho=0.5, am=am)
-    phi, v, labels = simulate_scores(config)
+    phi, v, labels = trial_scores(config)
     for scores, report in zip((phi, v), run_experiment(config)):
         assert math.isfinite(report.threshold)
         assert report.pe == recounted_pe(scores, labels, report.threshold)
@@ -233,8 +238,11 @@ def test_binomial_ci_values():
 
 
 def test_analytic_matches_dense_grid_minimization():
-    for sigma, am, p in [(2.0, 1.0, 0.5), (1.0, 10.0, 0.5), (1.5, 2.0, 0.3)]:
-        t = np.linspace(0, am + 8 * sigma, 10**6)
+    for sigma, am, p in [
+        (2.0, 1.0, 0.5), (1.0, 10.0, 0.5), (1.5, 2.0, 0.3), (1.0, 1.0, 0.05),
+        (1.0, 3.0, 0.95), (1.0, -3.0, 0.5), (2.0, 1.0, 0.7),  # the last at t = 0
+    ]:
+        t = np.linspace(0, abs(am) + 8 * sigma, 10**6)
         pe_curve = (1 - p) * 2 * (1 - ndtr(t / sigma)) + p * (
             ndtr((t - am) / sigma) - ndtr((-t - am) / sigma)
         )
@@ -299,7 +307,7 @@ def test_threshold_mode_must_be_exact_or_a_grid():
 def test_largest_philox_key_is_accepted():
     # 2^128 - 1, the top of the accepted seed range, seeds the block streams
     config = two_sensor_config(trials=8, seed=(1 << 128) - 1)
-    assert simulate_scores(config)[0].size == 8
+    assert trial_scores(config)[0].size == 8
 
 
 def test_grid_bounds_must_be_finite():
@@ -313,7 +321,7 @@ def test_grid_bounds_must_be_finite():
 
 def test_high_prior_labels_every_trial_attacked():
     config = two_sensor_config(trials=200, attack_prior=1 - 1e-12, seed=1)
-    _, _, labels = simulate_scores(config)
+    _, _, labels = trial_scores(config)
     assert labels.all()
 
 
@@ -347,17 +355,17 @@ def test_trial_matches_chunked_simulation(monkeypatch):
     )
     for config in configs:
         # one-trial chunks score the same bits as the default chunk
-        want = simulate_scores(config)
+        want = trial_scores(config)
         with monkeypatch.context() as patch:
             patch.setattr(harness, "_TRIAL_CHUNK", 1)
-            got = simulate_scores(config)
+            got = trial_scores(config)
         for x, y in zip(got, want):
             assert np.array_equal(x, y)
 
 
 def test_independent_model_scores_coincide_per_trial():
     config = two_sensor_config(trials=5000, seed=3, rho=0.0)
-    phi, v, _ = simulate_scores(config)
+    phi, v, _ = trial_scores(config)
     assert np.max(np.abs(phi - v)) < 1e-9
 
 
@@ -384,7 +392,7 @@ def test_null_attack_is_chance_level():
 
 def test_experiment_threshold_is_empirically_optimal():
     config = two_sensor_config(trials=10_000, seed=7, rho=0.3, am=1.0)
-    phi, v, labels = simulate_scores(config)
+    phi, v, labels = trial_scores(config)
     shap, single = run_experiment(config)
     for scores, rep in ((phi, shap), (v, single)):
         _, best_pe = brute_force_best(scores, labels)
@@ -412,9 +420,9 @@ def test_grid_mode_experiment():
 def test_experiment_deterministic_across_chunkings(monkeypatch):
     config = two_sensor_config(trials=4096, seed=10, rho=-0.4, am=1.0)
     monkeypatch.setattr(harness, "_TRIAL_CHUNK", 1024)
-    a = simulate_scores(config)
+    a = trial_scores(config)
     monkeypatch.setattr(harness, "_TRIAL_CHUNK", 4096)
-    b = simulate_scores(config)
+    b = trial_scores(config)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 

@@ -26,13 +26,12 @@ from shaploc import (
     SuiteConfig,
     run_experiment,
     run_suite,
-    simulate_scores,
 )
 from shaploc import harness
 from shaploc.cli import main
 from shaploc.harness import _COUNT_BLOCK, _TRIAL_CHUNK
 
-from harness_helpers import optimize_exact
+from harness_helpers import optimize_exact, trial_scores
 
 
 @pytest.fixture
@@ -68,11 +67,11 @@ def test_pool_and_serial_path_give_the_same_bits(pool, monkeypatch, kind, mode):
     # 39300 of 65541 trials, though the cuts left to count after pruning
     # may fit in one (see the interleaved test below)
     config = replace(three_sensor_config(kind, mode), attack_prior=0.4)
-    pooled_scores = simulate_scores(config)
+    pooled_scores = trial_scores(config)
     pooled = run_experiment(config)
     assert np.count_nonzero(~pooled_scores[2]) > 2 * _COUNT_BLOCK
     monkeypatch.setattr(harness, "_POOL", None)
-    serial_scores = simulate_scores(config)
+    serial_scores = trial_scores(config)
     assert all(np.array_equal(a, b) for a, b in zip(pooled_scores, serial_scores))
     assert run_experiment(config) == pooled
 
@@ -94,7 +93,7 @@ def test_no_result_shares_a_threads_kept_scratch(pool, monkeypatch, pooled):
         monkeypatch.setattr(harness, "_POOL", None)
     for trials in (300, 3 * _TRIAL_CHUNK + 5):
         config = three_sensor_config("B", trials=trials)
-        results = list(simulate_scores(config))
+        results = list(trial_scores(config))
         results += [c for classes in harness._simulate_classes(config) for c in classes]
         assert kept
         for result in results:
@@ -132,7 +131,7 @@ def test_pooled_counts_over_a_wide_span_give_the_serial_bits(pool, monkeypatch, 
 def test_more_workers_than_cores_and_fast_switching_give_the_same_bits(monkeypatch):
     config = three_sensor_config("B")
     monkeypatch.setattr(harness, "_POOL", None)
-    want_scores = simulate_scores(config)
+    want_scores = trial_scores(config)
     want = run_experiment(config)
     interval = sys.getswitchinterval()
     with ThreadPoolExecutor(8) as many:
@@ -141,7 +140,7 @@ def test_more_workers_than_cores_and_fast_switching_give_the_same_bits(monkeypat
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(harness, "_TRIAL_CHUNK", 997)
-                got_scores = simulate_scores(config)
+                got_scores = trial_scores(config)
             got = run_experiment(config)
         finally:
             sys.setswitchinterval(interval)
@@ -336,7 +335,7 @@ def test_chunk_completion_order_changes_no_result(monkeypatch, order, kind, mode
     config = three_sensor_config(kind, mode, trials=9 * 997 + 5)
     monkeypatch.setattr(harness, "_TRIAL_CHUNK", 997)
     monkeypatch.setattr(harness, "_POOL", None)
-    phi, v, labels = simulate_scores(config)
+    phi, v, labels = trial_scores(config)
     want = run_experiment(config)
     with ThreadPoolExecutor(3) as three:
         if order == "three workers":

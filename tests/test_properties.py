@@ -25,7 +25,6 @@ from shaploc import (  # noqa: E402
     run_experiment,
     sampled_shapley,
     shapley_from_values,
-    simulate_scores,
     truncated_shapley,
 )
 from shaploc import harness  # noqa: E402
@@ -37,7 +36,7 @@ from shaploc.shapley import (  # noqa: E402
     gaussian_shapley_form,
 )
 
-from harness_helpers import optimize_exact, optimize_grid  # noqa: E402
+from harness_helpers import optimize_exact, optimize_grid, trial_scores  # noqa: E402
 
 
 @st.composite
@@ -167,9 +166,9 @@ def test_scores_do_not_depend_on_the_chunk(drawn, data):
         model=model, attack=attack, sensor_under_test=data.draw(st.integers(0, n - 1)),
         trials=trials, seed=data.draw(st.integers(0, 2**128 - 1)),
     )
-    whole = simulate_scores(config)
+    whole = trial_scores(config)
     with mock.patch.object(harness, "_TRIAL_CHUNK", data.draw(st.integers(1, trials))):
-        chunked = simulate_scores(config)
+        chunked = trial_scores(config)
     assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
 
@@ -247,7 +246,7 @@ def test_experiment_equals_the_reference_optimizers_on_the_simulated_scores(
         threshold_mode=mode,
     )
     monkeypatch.setattr(harness, "_TRIAL_CHUNK", chunk)
-    phi, v, labels = simulate_scores(config)
+    phi, v, labels = trial_scores(config)
     starts = np.arange(0, labels.size, chunk)
     attacked = np.add.reduceat(labels, starts)
     one_class = (attacked == 0) | (attacked == np.diff(starts, append=labels.size))
@@ -314,10 +313,9 @@ def test_exact_counts_across_count_blocks(monkeypatch, shape, n_clean):
         if harness._POOL is None:
             monkeypatch.setattr(harness, "_POOL", two)
         tau, pe = optimize_exact(scores, labels)
-    # every cut in count blocks on the pool, unless they fit in one
-    # block, which the calling thread counts
+    # every cut in count blocks on the pool; a single block starts no helper
     blocks = -(-n_clean // _COUNT_BLOCK)
-    assert batches == [blocks] * (blocks > 1)
+    assert batches == [blocks]
     assert (tau, pe) == reference_exact(scores, labels)
     if shape == "continuous":
         assert (tau, pe) == (0.5 * (clean[0] + attacked[0]), (n_clean - 1) / scores.size)

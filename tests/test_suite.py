@@ -74,6 +74,12 @@ def test_unknown_section_rejected(tmp_path):
         parse_config(write(tmp_path, "[nonsense]\nx = 1\n"))
 
 
+def test_default_section_rejected(tmp_path):
+    # configparser's [DEFAULT] would reach [suite] and every experiment
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        parse_config(write(tmp_path, "[DEFAULT]\ntrials = 5\n" + MINIMAL))
+
+
 def test_parse_error_carries_line_number(tmp_path):
     with pytest.raises(ConfigError, match="line"):
         parse_config(write(tmp_path, "[experiment.a]\nattack_type = A\n???\n"))

@@ -1,5 +1,6 @@
 """Every module-level function and class in the package is used by the
-package itself or exported: code that only the tests call lives with them."""
+package itself or exported, and every exported name is used by the package
+or a demo: code that only the tests call lives with them."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,10 @@ import shaploc
 
 SOURCES = {
     p.name: p.read_text() for p in sorted(Path(shaploc.__file__).parent.glob("*.py"))
+}
+DEMOS = {
+    p.name: p.read_text()
+    for p in sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 }
 
 
@@ -68,3 +73,45 @@ def test_the_guard_sees_a_definition_nothing_else_names():
     assert unreferenced_definitions(sources) == [
         ("a.py", "Method"), ("a.py", "orphan"), ("a.py", "recursive")
     ]
+
+
+def exported_but_unused(sources, demos):
+    """Sorted names of ``__init__.py``'s ``__all__`` that no demo names and no
+    statement of another package module names but the name's own definition."""
+    exported = set()
+    for stmt in ast.parse(sources["__init__.py"]).body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            exported |= names_in(stmt) - {"__all__"}
+    named = set()
+    for module, source in sources.items():
+        if module != "__init__.py":
+            for stmt in ast.parse(source).body:
+                defined = getattr(stmt, "name", None)
+                named |= names_in(stmt) - {defined}
+    for source in demos.values():
+        named |= names_in(ast.parse(source))
+    return sorted(exported - named)
+
+
+def test_every_exported_name_is_used_by_the_package_or_a_demo():
+    assert exported_but_unused(SOURCES, DEMOS) == []
+
+
+def test_the_guard_sees_an_export_only_the_tests_use():
+    sources = {
+        "__init__.py": (
+            "from .a import Kept, shown, only_tested\n"
+            "__all__ = ['Kept', 'shown', 'only_tested', 'Recursive']\n"
+        ),
+        "a.py": (
+            "class Kept:\n    pass\n"
+            "def shown():\n    return 1\n"
+            "def only_tested():\n    return only_tested\n"
+            "class Recursive:\n    def copy(self):\n        return Recursive()\n"
+        ),
+        "b.py": "from .a import Kept\n",
+    }
+    demos = {"demo.py": "from shaploc import shown\nprint(shown())\n"}
+    assert exported_but_unused(sources, demos) == ["Recursive", "only_tested"]
