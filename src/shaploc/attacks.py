@@ -52,6 +52,11 @@ class AttackSpec:
         if not np.isfinite(abs(self.am) + 38.0 * (self.sigma_a or 0.0) + (self.um or 0.0)):
             raise ValueError("attack offsets would overflow float64")
 
+    @property
+    def constant(self) -> bool:
+        """Whether every offset is am: type A, or type B with sigma_a == 0."""
+        return self.kind == "A" or (self.kind == "B" and self.sigma_a == 0.0)
+
 
 def draw_offsets(spec: AttackSpec, rng, out: np.ndarray) -> np.ndarray:
     """Attack offsets of ``out.shape[0]`` trials, one column per target sensor.
@@ -59,10 +64,11 @@ def draw_offsets(spec: AttackSpec, rng, out: np.ndarray) -> np.ndarray:
     Type B draws ``am + sigma_a * z`` from ``rng.standard_normal`` and type
     C ``am + um * u`` from ``rng.random``, #targets values per trial in
     trial order, into ``out`` of shape (trials, #targets), and returns it.
-    A constant offset draws nothing, leaves ``out`` alone and comes back as
-    a read-only broadcast of ``am``.
+    A constant offset (``spec.constant``) draws nothing, so ``rng`` may be
+    None; it leaves ``out`` alone and comes back as a read-only broadcast
+    of ``am``.
     """
-    if spec.kind == "A" or (spec.kind == "B" and spec.sigma_a == 0.0):
+    if spec.constant:
         return np.broadcast_to(np.float64(spec.am), out.shape)
     if spec.kind == "B":
         rng.standard_normal(out=out)

@@ -6,20 +6,23 @@ value phi(x_i) of the Gaussian anomaly score, and the single marginal term
 v({i}, x).  Thresholds are then optimized per statistic on the same paired
 trials, so their error rates are directly comparable.
 
-phi_i(x) is exactly C + d^T A d with d = x - mean (``gaussian_shapley_form``),
-built once per model and sensor, so the harness never builds the 2^n
-coalition table.  A chunk of at most 2^14 trials takes two matrix products,
-(n, n) @ (n, w), its trials rounded up to a multiple of 2^10 columns w with
-the unused ones zeroed.  BLAS rounds by shape, but every such w gives a
-column the bits of the 2^14-column product, so a trial scores the same bits
-in any chunk.  The single term repeats the coalition kernel's arithmetic
-for {i} bit for bit.  Scores that overflow become infinite without a
-warning.
+Both statistics read a trial only through d = x - mean, so trials are
+drawn as d and no result depends on the mean.  phi_i(x) is exactly
+C + d^T A d (``gaussian_shapley_form``), built once per model and sensor,
+so the harness never builds the 2^n coalition table.  A chunk of at most
+2^14 trials takes two matrix products, (n, n) @ (n, w), its trials rounded
+up to a multiple of 2^10 columns w with the unused ones zeroed.  BLAS
+rounds by shape, but every such w gives a column the bits of the
+2^14-column product, so a run's trials score the same bits as the first
+trials of any longer run.  The single term repeats the coalition kernel's
+arithmetic for {i} bit for bit.  Scores that overflow become infinite
+without a warning.
 
-Trial j reads entry j mod 2^14 of three SFC64 streams, seeded by
-``SeedSequence(seed, spawn_key=(j // 2^14, role))``: its label uniform, its
-n ziggurat normals and its attack offsets.  So results do not depend on
-the chunking, the order the chunks run in or the number of workers.
+A chunk is one block of 2^14 trials, the last one short.  Trial j reads
+entry j mod 2^14 of three SFC64 streams, seeded by
+``SeedSequence(seed, spawn_key=(j // 2^14, role))``: its label uniform,
+its n ziggurat normals and its attack offsets.  So results depend on
+neither the order the chunks run in nor the number of workers.
 
 The trial chunks, the four class sorts and the fine threshold counts run
 in ``_run_all``: the calling thread takes them from one shared iterator
@@ -51,22 +54,17 @@ from .gaussian import _LOG_2PI, GaussianModel
 from .shapley import gaussian_shapley_form
 
 Z_95 = 1.96
-# the units of work a pool worker takes: trials per generation chunk, at
-# most _WIDTH, and clean cuts per threshold-count block
-_TRIAL_CHUNK = 1 << 14
+# clean cuts per threshold-count block, the unit of work of the fine pass
 _COUNT_BLOCK = 1 << 14
-# trials per thread's scratch, and the widest product.  BLAS picks its
-# kernel, and so its rounding, by the shapes, so a chunk's two matrix
-# products span its trials rounded up to a multiple of _WIDTH_STEP columns:
-# every such width gives the columns of the _WIDTH-column product bit for
-# bit, which widths of 1, 4 or 300 columns did not
-_WIDTH = 1 << 14
-_WIDTH_STEP = 1 << 10
-# part of the definition of the trial stream, not a unit of work: trial j
-# draws from the generators of block j // _STREAM_BLOCK, one per role, so
-# changing it changes every trial, and a chunk of any size, _TRIAL_CHUNK
-# included, gives each trial the same bits
+# trials per stream block, which is also a chunk: trial j draws entry
+# j mod _STREAM_BLOCK of the generators of block j // _STREAM_BLOCK, one per
+# role, so changing it changes every trial.  BLAS picks its kernel, and so
+# its rounding, by the shapes, so a chunk's two matrix products span its
+# trials rounded up to a multiple of _WIDTH_STEP columns: every such width
+# gives the columns of the _STREAM_BLOCK-column product bit for bit, which
+# widths of 1, 4 or 300 columns did not
 _STREAM_BLOCK = 1 << 14
+_WIDTH_STEP = 1 << 10
 _LABELS, _NORMALS, _OFFSETS = range(3)
 # clean cuts per block of the coarse threshold pass, and the fewest that
 # the fine pass counts at once
@@ -218,47 +216,19 @@ def binomial_ci(pe: float, m: int) -> float:
 # trial simulation
 
 
-class _TrialStream:
-    """One role's draws for trials start..start+count-1, in trial order.
-
-    ``random`` and ``standard_normal`` fill a C-contiguous ``out`` whose
-    first axis is the chunk's trials, k values a trial.  Trial j's values
-    are entry j mod _STREAM_BLOCK, k draws an entry, of the generator for
-    this role of block j // _STREAM_BLOCK.  A block's generator is built
-    only when something is drawn, and a chunk that starts inside a block
-    draws the block's prefix and drops it, so every chunk gives each trial
-    the same bits.
-    """
-
-    def __init__(self, seed: int, role: int, start: int, count: int) -> None:
-        self._seed, self._role, self._start, self._count = seed, role, start, count
-
-    def random(self, out: np.ndarray) -> None:
-        self._fill("random", out)
-
-    def standard_normal(self, out: np.ndarray) -> None:
-        self._fill("standard_normal", out)
-
-    def _fill(self, method: str, out: np.ndarray) -> None:
-        per_trial = out.size // self._count
-        start, stop = self._start, self._start + self._count
-        for block in range(start // _STREAM_BLOCK, -(-stop // _STREAM_BLOCK)):
-            first = block * _STREAM_BLOCK
-            lo, hi = max(start, first), min(stop, first + _STREAM_BLOCK)
-            seeds = np.random.SeedSequence(self._seed, spawn_key=(block, self._role))
-            draw = getattr(np.random.Generator(np.random.SFC64(seeds)), method)
-            if lo > first:
-                draw((lo - first) * per_trial)
-            draw(out=out[lo - start : hi - start])
+def _block_generator(seed: int, block: int, role: int) -> np.random.Generator:
+    """The generator of one role's draws for the trials of one stream block."""
+    seeds = np.random.SeedSequence(seed, spawn_key=(block, role))
+    return np.random.Generator(np.random.SFC64(seeds))
 
 
 # the two scratch buffers each thread that simulates chunks keeps
 _KEPT = threading.local()
-_NO_BUFFER = np.empty((0, _WIDTH))
+_NO_BUFFER = np.empty((0, _STREAM_BLOCK))
 
 
 def _chunk_buffers(stride: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two scratch arrays of at least (stride, _WIDTH) and (n, _WIDTH) doubles.
+    """Two scratch arrays of at least stride and n rows of _STREAM_BLOCK doubles.
 
     They are the buffers this thread keeps for its lifetime, grown to the
     widest model it has simulated, so a chunk reuses pages that are
@@ -267,57 +237,55 @@ def _chunk_buffers(stride: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     wide, narrow = getattr(_KEPT, "buffers", (_NO_BUFFER, _NO_BUFFER))
     if len(wide) < stride:
-        wide = np.empty((stride, _WIDTH))
+        wide = np.empty((stride, _STREAM_BLOCK))
     if len(narrow) < n:
-        narrow = np.empty((n, _WIDTH))
+        narrow = np.empty((n, _STREAM_BLOCK))
     _KEPT.buffers = wide, narrow
     return wide, narrow
 
 
-def _chunk_observations(
-    config: ExperimentConfig, start: int, count: int
+def _chunk_deviations(
+    config: ExperimentConfig, block: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(observations, attacked labels, spare) for trials start..start+count-1.
+    """(deviations d = x - mean, attacked labels, spare) of one stream block.
 
-    ``count`` is at most _WIDTH.  The observations are sensor-major, n
-    rows of the count rounded up to a multiple of _WIDTH_STEP, with the
-    chunk's trials in the first count columns and zeros after them.  They
-    live in this thread's scratch, as does the spare buffer of at least
-    n + t rows of _WIDTH, t being the number of targets; both are
-    overwritten by the thread's next chunk.  The labels are the caller's.
+    The block holds the run's trials from block * _STREAM_BLOCK on, at most
+    _STREAM_BLOCK of them, and they take the first entries of the block's
+    generators.  The deviations are sensor-major, n rows of the count
+    rounded up to a multiple of _WIDTH_STEP, with the block's trials in the
+    first count columns and zeros after them.  They live in this thread's
+    scratch, as does the spare buffer of at least n + t rows of
+    _STREAM_BLOCK, t being the number of targets; both are overwritten by
+    the thread's next chunk.  The labels are the caller's, one per trial.
     A trial is attacked when its label uniform lies below the prior.  Each
-    target's offset, finite by ``AttackSpec``'s checks, is injected as
-    ``attacked * offset``, so a clean trial adds a zero, which can change
-    only the sign of a zero observation and leaves ``x - mean`` bit for bit
-    the same.
+    target's offset, finite by ``AttackSpec``'s checks, is added as
+    ``attacked * offset``, so a clean trial adds a zero.
     """
     model = config.model
     n = model.n
-    targets = config.attack.targets
-    t = len(targets)
+    attack = config.attack
+    t = len(attack.targets)
+    count = min(_STREAM_BLOCK, config.trials - block * _STREAM_BLOCK)
     wide, narrow = _chunk_buffers(n + t, n)
     labels = wide[0, :count]
-    _TrialStream(config.seed, _LABELS, start, count).random(out=labels)
+    _block_generator(config.seed, block, _LABELS).random(out=labels)
     attacked = labels < config.attack_prior
     # trial-major normals in the first n rows, over the spent uniforms, and
     # zeros in the unused trials up to the product's width
     width = -(-count // _WIDTH_STEP) * _WIDTH_STEP
-    z = wide[:n].reshape(_WIDTH, n)[:width]
-    _TrialStream(config.seed, _NORMALS, start, count).standard_normal(out=z[:count])
+    z = wide[:n].reshape(_STREAM_BLOCK, n)[:width]
+    _block_generator(config.seed, block, _NORMALS).standard_normal(out=z[:count])
     z[count:] = 0.0
-    offsets = draw_offsets(
-        config.attack,
-        _TrialStream(config.seed, _OFFSETS, start, count),
-        wide[n:].reshape(-1)[: count * t].reshape(count, t),
-    )
-    # sensor-major, so the mean, the attack and the scoring run over contiguous rows
-    xs = np.matmul(model.chol, z.T, out=narrow[:n, :width])
-    xs[:, :count] += model.mean[:, None]
+    # a constant offset draws nothing, so its block builds no generator
+    rng = None if attack.constant else _block_generator(config.seed, block, _OFFSETS)
+    offsets = draw_offsets(attack, rng, wide[n:].reshape(-1)[: count * t].reshape(count, t))
+    # sensor-major, so the attack and the scoring run over contiguous rows
+    d = np.matmul(model.chol, z.T, out=narrow[:n, :width])
     shift = wide[0, :count]  # the normals are spent
-    for col, j in enumerate(targets):
+    for col, j in enumerate(attack.targets):
         np.multiply(attacked, offsets[:, col], out=shift)
-        xs[j, :count] += shift
-    return xs, attacked, wide
+        d[j, :count] += shift
+    return d, attacked, wide
 
 
 @lru_cache(maxsize=8)
@@ -335,20 +303,20 @@ def _scoring_form(model: GaussianModel, i: int):
 
 
 def _simulate_chunk(
-    config: ExperimentConfig, start: int, count: int
+    config: ExperimentConfig, block: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phi_scores, v_scores, attacked labels) for trials start..start+count-1.
+    """(phi_scores, v_scores, attacked labels) of the trials of one stream block.
 
     The scores are views of this thread's scratch, overwritten by its next
-    chunk; the labels are the caller's.  ``count`` is at most _WIDTH.  Both
-    matrix products span the count rounded up to a multiple of _WIDTH_STEP
-    columns, and the rest is elementwise over trials in an order fixed by
-    n, so a trial's scores do not depend on the chunk.  Scores that
-    overflow become infinite without a warning.
+    chunk; the labels are the caller's.  Both matrix products span the
+    block's trials rounded up to a multiple of _WIDTH_STEP columns, and
+    the rest is elementwise over trials in an order fixed by n, so a
+    short last block scores the bits of the same trials in a longer run.
+    Scores that overflow become infinite without a warning.
     """
     with np.errstate(over="ignore"):
-        d, attacked, spare = _chunk_observations(config, start, count)
-        d[:, :count] -= config.model.mean[:, None]
+        d, attacked, spare = _chunk_deviations(config, block)
+        count = attacked.size
         n, i = config.model.n, config.sensor_under_test
         c, a, half_precision, half_log_var = _scoring_form(config.model, i)
         # the spare's first n rows take A @ d over the spent normals, and phi
@@ -377,16 +345,16 @@ def _simulate_classes(config: ExperimentConfig) -> tuple[list[np.ndarray], list[
     the chunks finished, but the classes are sorted before anything counts
     them.
     """
-    m, chunk = config.trials, _TRIAL_CHUNK
+    m = config.trials
     scores = np.empty((2, m))
     front, back = 0, m  # the attacked class grows from the front, the clean from the back
     lock = threading.Lock()
     # build the form here, so the workers find it cached
     _scoring_form(config.model, config.sensor_under_test)
 
-    def run(start: int) -> None:
+    def run(block: int) -> None:
         nonlocal front, back
-        phi, v, attacked = _simulate_chunk(config, start, min(chunk, m - start))
+        phi, v, attacked = _simulate_chunk(config, block)
         attacked_at = np.flatnonzero(attacked)
         clean_at = np.flatnonzero(np.logical_not(attacked))
         with lock:
@@ -397,7 +365,7 @@ def _simulate_classes(config: ExperimentConfig) -> tuple[list[np.ndarray], list[
             phi.take(at, out=scores[0, lo : lo + at.size])
             v.take(at, out=scores[1, lo : lo + at.size])
 
-    _run_all(run, range(0, m, chunk))
+    _run_all(run, range(-(-m // _STREAM_BLOCK)))
     if front != back:
         raise RuntimeError(f"the class cursors did not meet: {front} != {back}")
     if front in (0, m):

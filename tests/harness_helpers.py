@@ -1,5 +1,5 @@
 """What the harness tests share: chunk results, trial-order scores and
-observations the caller owns, and threshold searches over trial-order
+deviations the caller owns, and threshold searches over trial-order
 scores and labels."""
 
 import numpy as np
@@ -7,47 +7,54 @@ import numpy as np
 from shaploc import harness
 
 
-def chunk(config, start, count):
-    """``_simulate_chunk``'s (phi, v, attacked), each copied out of the scratch.
+def chunk(config, block):
+    """``_simulate_chunk``'s (phi, v, attacked) of one block, each copied out of the scratch.
 
     The scores are views of the thread's scratch, so a second chunk on the
     same thread would overwrite a first one that was not copied.
     """
-    return tuple(a.copy() for a in harness._simulate_chunk(config, start, count))
+    return tuple(a.copy() for a in harness._simulate_chunk(config, block))
 
 
 def trial_scores(config):
     """(phi, v, attacked) of every trial, in trial order.
 
-    The chunks run through ``harness._run_all``, ``harness._TRIAL_CHUNK``
-    trials each, both read at call time, so a test that patches the pool,
-    ``_run_all`` or the chunk size sees its own chunking.
+    The blocks run through ``harness._run_all``, read at call time, so a
+    test that patches the pool or ``_run_all`` sees its own scheduling.
     """
-    m, size = config.trials, harness._TRIAL_CHUNK
+    m, size = config.trials, harness._STREAM_BLOCK
     phi, v, attacked = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
 
-    def run(start):
+    def run(block):
+        start = block * size
         stop = min(start + size, m)
         phi[start:stop], v[start:stop], attacked[start:stop] = harness._simulate_chunk(
-            config, start, stop - start
+            config, block
         )
 
-    harness._run_all(run, range(0, m, size))
+    harness._run_all(run, range(-(-m // size)))
     return phi, v, attacked
 
 
-def trial_observations(config, start, count):
-    """(observations, attacked labels) for trials start..start+count-1.
+def trial_deviations(config, start, count):
+    """(deviations x - mean, attacked labels) of trials start..start+count-1.
 
-    The observations are trial-major.  The trials are taken
-    ``harness._WIDTH`` at a time, each tile as one chunk.
+    The deviations are trial-major.  Every block of the config's trials
+    that the window touches is drawn whole, as one chunk, so the config's
+    trials must cover the window.
     """
-    xs, attacked = np.empty((config.model.n, count)), np.empty(count, dtype=bool)
-    for lo in range(0, count, harness._WIDTH):
-        hi = min(lo + harness._WIDTH, count)
-        tile, attacked[lo:hi], _ = harness._chunk_observations(config, start + lo, hi - lo)
-        xs[:, lo:hi] = tile[:, : hi - lo]
-    return xs.T, attacked
+    size = harness._STREAM_BLOCK
+    assert 0 <= start and 0 < count and start + count <= config.trials
+    blocks = range(start // size, (start + count - 1) // size + 1)
+    first = blocks[0] * size
+    ds = np.empty((config.model.n, len(blocks) * size))
+    attacked = np.empty(len(blocks) * size, dtype=bool)
+    for block in blocks:
+        d, labels, _ = harness._chunk_deviations(config, block)
+        lo, hi = block * size - first, block * size - first + labels.size
+        ds[:, lo:hi], attacked[lo:hi] = d[:, : labels.size], labels
+    lo = start - first
+    return ds[:, lo : lo + count].T, attacked[lo : lo + count]
 
 
 def split_sorted(scores, labels):

@@ -4,7 +4,7 @@ import pytest
 from shaploc import AttackSpec, Coalition, ExperimentConfig, GaussianModel
 from shaploc.attacks import draw_offsets
 
-from harness_helpers import trial_observations
+from harness_helpers import trial_deviations
 
 T1 = Coalition.of([0], 2)
 
@@ -69,7 +69,7 @@ def test_offsets_that_could_overflow_are_rejected():
     ):
         assert np.isfinite(draw_offsets(attack, Fixed(extremes), np.empty((3, 1)))).all()
         config = ExperimentConfig(model=model, attack=attack, trials=2000, seed=1)
-        xs, attacked = trial_observations(config, 0, 2000)
+        xs, attacked = trial_deviations(config, 0, 2000)
         assert 0 < np.count_nonzero(attacked) < 2000
         assert np.isfinite(xs[~attacked]).all()
 
@@ -88,6 +88,8 @@ def test_constant_offset():
     assert np.array_equal(offsets, np.full((5, 1), 10.0))
     assert not offsets.flags.writeable  # a broadcast, not the caller's buffer
     assert not out.any()
+    # so a constant offset needs no generator at all
+    assert spec.constant and np.array_equal(draw_offsets(spec, None, out), offsets)
 
 
 def test_gaussian_with_zero_spread_degenerates_to_constant():
@@ -110,7 +112,7 @@ def test_non_targets_bit_identical():
     model = GaussianModel([0.0, 1.0, -1.0], np.eye(3) + 0.3)
     targets = Coalition.of([1], 3)
     runs = [
-        trial_observations(ExperimentConfig(model=model, attack=attack, trials=200, seed=3), 0, 200)
+        trial_deviations(ExperimentConfig(model=model, attack=attack, trials=200, seed=3), 0, 200)
         for attack in (
             AttackSpec(kind="A", am=0.0, targets=targets),
             AttackSpec(kind="B", am=5.0, targets=targets, sigma_a=2.0),

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 import shaploc.cli
@@ -89,6 +91,36 @@ def test_preset_byte_identical_reruns(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = {
+    "table1.csv": ["preset", "table1", "--trials", "20000", "--seed", "7"],
+    "table2.csv": ["preset", "table2", "--trials", "20000", "--seed", "7"],
+    "mixed.csv": ["run", str(DATA / "mixed.ini")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_keep_the_committed_bits(tmp_path, name):
+    # the committed CSVs pin the trial stream: a change that moves any bit
+    # of any trial's scores moves a threshold or an error rate here, and
+    # regenerates these files on purpose
+    out = tmp_path / name
+    assert main(GOLDEN[name] + ["--no-timestamp", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_the_means_change_no_row(tmp_path):
+    # both statistics read x - mean, so moving every experiment's mean
+    # prints the zero-mean rows
+    text = (DATA / "mixed.ini").read_text()
+    assert "mu1" not in text and "mu2" not in text
+    cfg = tmp_path / "moved.ini"
+    cfg.write_text(text.replace("trials = ", "mu1 = 1e15\nmu2 = -3e8\ntrials = "))
+    out = tmp_path / "moved.csv"
+    assert main(["run", str(cfg), "--no-timestamp", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "mixed.csv").read_bytes()
 
 
 def test_seed_outside_the_stream_key_range_exit_code(tmp_path, capsys):

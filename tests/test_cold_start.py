@@ -9,7 +9,7 @@ from pathlib import Path
 
 import shaploc
 from shaploc import AttackSpec, Coalition, ExperimentConfig, GaussianModel, run_experiment
-from shaploc.harness import _TRIAL_CHUNK
+from shaploc.harness import _STREAM_BLOCK
 
 
 def _run_fresh(script: str, stdin: bytes = b"", *args: str) -> str:
@@ -52,7 +52,7 @@ def test_the_harness_and_the_presets_load_no_scipy(tmp_path):
     configs = [
         ExperimentConfig(
             model=model, attack=attack, sensor_under_test=1,
-            trials=3 * _TRIAL_CHUNK,  # three chunks: both workers take one
+            trials=3 * _STREAM_BLOCK,  # three chunks: both workers take one
             seed=77,
         )
         for attack in (

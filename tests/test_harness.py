@@ -33,7 +33,7 @@ from harness_helpers import (
     chunk,
     optimize_exact,
     optimize_grid,
-    trial_observations,
+    trial_deviations,
     trial_scores,
 )
 
@@ -304,8 +304,8 @@ def test_threshold_mode_must_be_exact_or_a_grid():
     two_sensor_config(threshold_mode=GridSpec(0.0, 1.0, 2))
 
 
-def test_largest_philox_key_is_accepted():
-    # 2^128 - 1, the top of the accepted seed range, seeds the block streams
+def test_the_largest_seed_keys_the_block_streams():
+    # 2^128 - 1, the top of the accepted seed range, seeds the SFC64 block streams
     config = two_sensor_config(trials=8, seed=(1 << 128) - 1)
     assert trial_scores(config)[0].size == 8
 
@@ -334,33 +334,38 @@ def test_an_experiment_of_one_class_is_rejected(prior, mode):
 
 
 def test_trial_determinism():
-    # trial 57 scores the same alone, again, and inside a longer chunk
+    # a block scores the same bits again, on a fresh thread, and as the
+    # first trials of a longer run
     config = two_sensor_config(trials=100, seed=42)
-    a = chunk(config, 57, 1)
-    b = chunk(config, 57, 1)
-    c = chunk(config, 50, 10)
+    a = chunk(config, 0)
+    b = on_a_fresh_thread(chunk, config, 0)
+    c = chunk(replace(config, trials=3000), 0)
     for x, y, z in zip(a, b, c):
-        assert np.array_equal(x, y) and np.array_equal(x, z[7:8])
+        assert np.array_equal(x, y) and np.array_equal(x, z[:100])
 
 
-def test_trial_matches_chunked_simulation(monkeypatch):
+# run lengths on both sides of a width step and of a block edge
+PREFIXES = (1, 1023, 1024, 1025, 16383, 16384, 16385)
+
+
+def test_a_shorter_run_is_a_prefix_of_a_longer_one():
+    # a short last block multiplies only the columns it uses, yet its
+    # trials score the bits they score in a whole block
     rng = np.random.default_rng(12)
     n = 10
     a = rng.normal(size=(n, n))
     model = GaussianModel(rng.normal(size=n), a @ a.T / n + np.eye(n))
     attack = AttackSpec(kind="B", am=1.5, sigma_a=0.5, targets=Coalition.of([0, 3], n))
     configs = (
-        two_sensor_config(trials=3000, seed=9, rho=0.5, am=1.0),
-        ExperimentConfig(model=model, attack=attack, sensor_under_test=3, trials=300, seed=13),
+        two_sensor_config(trials=40_000, seed=9, rho=0.5, am=1.0),
+        ExperimentConfig(model=model, attack=attack, sensor_under_test=3, trials=40_000, seed=13),
     )
     for config in configs:
-        # one-trial chunks score the same bits as the default chunk
         want = trial_scores(config)
-        with monkeypatch.context() as patch:
-            patch.setattr(harness, "_TRIAL_CHUNK", 1)
-            got = trial_scores(config)
-        for x, y in zip(got, want):
-            assert np.array_equal(x, y)
+        for k in PREFIXES:
+            got = trial_scores(replace(config, trials=k))
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y[:k]), k
 
 
 def test_independent_model_scores_coincide_per_trial():
@@ -417,16 +422,6 @@ def test_grid_mode_experiment():
     assert single.pe == pytest.approx(exact[1].pe, abs=1e-3)
 
 
-def test_experiment_deterministic_across_chunkings(monkeypatch):
-    config = two_sensor_config(trials=4096, seed=10, rho=-0.4, am=1.0)
-    monkeypatch.setattr(harness, "_TRIAL_CHUNK", 1024)
-    a = trial_scores(config)
-    monkeypatch.setattr(harness, "_TRIAL_CHUNK", 4096)
-    b = trial_scores(config)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-
-
 def random_config(n, seed, sensor, trials):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
@@ -449,16 +444,17 @@ def test_experiment_never_scores_the_coalition_table(monkeypatch):
 def test_chunk_scores_match_the_coalition_table():
     for n, sensor in ((1, 0), (2, 1), (5, 2), (10, 0), (10, 9)):
         config = random_config(n, 15 + n, sensor, 300)
-        for start, count in ((0, 300), (17, 1), (40, 64)):
-            xs, _ = trial_observations(config, start, count)
-            phi, v, _ = chunk(config, start, count)
-            for x, phi_x, v_x in zip(xs, phi, v):
-                table = config.model.coalition_values(x)
-                # the single term runs the kernel's own arithmetic
-                assert v_x == table[1 << sensor]
-                # the quadratic form sums the same terms in another order
-                scale = np.max(np.abs(table))
-                assert abs(phi_x - shapley_from_values(table, sensor)) <= 1e-12 * scale
+        # the kernel reads x - mean, so a zero-mean model scores the deviations
+        centred = GaussianModel(np.zeros(n), config.model.cov)
+        ds, _ = trial_deviations(config, 0, 300)
+        phi, v, _ = trial_scores(config)
+        for d, phi_x, v_x in zip(ds, phi, v):
+            table = centred.coalition_values(d)
+            # the single term runs the kernel's own arithmetic
+            assert v_x == table[1 << sensor]
+            # the quadratic form sums the same terms in another order
+            scale = np.max(np.abs(table))
+            assert abs(phi_x - shapley_from_values(table, sensor)) <= 1e-12 * scale
 
 
 def kind_config(n, kind, seed):
@@ -474,6 +470,23 @@ def kind_config(n, kind, seed):
     )
 
 
+def moved(config, shift):
+    """The config with its model's mean moved by ``shift``."""
+    return replace(config, model=GaussianModel(config.model.mean + shift, config.model.cov))
+
+
+@pytest.mark.parametrize("mode", ["exact", GridSpec(0.0, 8.0, 301)], ids=["exact", "grid"])
+@pytest.mark.parametrize("kind", ["A", "B", "C"])
+def test_reports_do_not_depend_on_the_mean(kind, mode):
+    # both statistics read x - mean, so a model and the same model with its
+    # mean moved run the same experiment, bit for bit; a trial drawn as x
+    # and read back as x - mean would lose d's low bits to a mean of 1e15
+    shifts = {2: np.array([1e15, -1e15]), 6: 1e8 * np.random.default_rng(93).random(6)}
+    for n, shift in shifts.items():
+        config = replace(kind_config(n, kind, 90 + n), trials=20_000, threshold_mode=mode)
+        assert run_experiment(moved(config, shift)) == run_experiment(config), n
+
+
 def on_a_fresh_thread(fn, *args):
     result = []
     worker = threading.Thread(target=lambda: result.append(fn(*args)))
@@ -484,18 +497,23 @@ def on_a_fresh_thread(fn, *args):
 
 def test_chunk_results_never_share_the_threads_kept_scratch():
     # one thread simulates chunks of wide and narrow models back to back:
-    # every result equals a fresh thread's chunk that starts earlier, and
-    # later chunks leave the observations alone
+    # every result equals a fresh thread's longer one, and later chunks
+    # leave the results alone
     results = []
     for n in (10, 2, 14, 1):
         for kind in ("A", "B", "C"):
             config = kind_config(n, kind, 60 + n)
             for count in (300, 1, 64):
-                for fn in (chunk, trial_observations):
-                    got = fn(config, 3, count)
-                    want = on_a_fresh_thread(fn, config, 0, count + 3)
+                cases = (
+                    (chunk, (replace(config, trials=count), 0),
+                     (replace(config, trials=count + 3), 0), slice(count)),
+                    (trial_deviations, (config, 3, count), (config, 0, count + 3), slice(3, None)),
+                )
+                for fn, args, longer, part in cases:
+                    got = fn(*args)
+                    want = on_a_fresh_thread(fn, *longer)
                     assert all(
-                        np.array_equal(a, b[3:]) for a, b in zip(got, want)
+                        np.array_equal(a, b[part]) for a, b in zip(got, want)
                     ), (n, kind, count, fn.__name__)
                     results.append((got, tuple(a.copy() for a in got)))
     for got, copies in results:
@@ -503,46 +521,49 @@ def test_chunk_results_never_share_the_threads_kept_scratch():
 
 
 def test_a_thread_scores_alike_after_overflowing_scores():
-    # a whole chunk of a 1e300 attack leaves infinite scores in the thread's
-    # scratch; the next, shorter chunk warns of nothing and scores as a
+    # a whole block of a 1e300 attack leaves infinite scores in the thread's
+    # scratch; the next, shorter block warns of nothing and scores as a
     # fresh thread does
-    huge = two_sensor_config(trials=3000, seed=25, rho=0.5, am=1e300)
-    plain = two_sensor_config(trials=3000, seed=25, rho=0.5, am=1.0)
+    huge = two_sensor_config(trials=harness._STREAM_BLOCK, seed=25, rho=0.5, am=1e300)
+    plain = two_sensor_config(trials=300, seed=25, rho=0.5, am=1.0)
 
     def overflow_then_plain():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, v, attacked = chunk(huge, 0, harness._WIDTH)
+            _, v, attacked = chunk(huge, 0)
             assert np.isinf(v[attacked]).all()
-            return chunk(plain, 7, 300)
+            return chunk(plain, 0)
 
     got = on_a_fresh_thread(overflow_then_plain)
-    want = on_a_fresh_thread(chunk, plain, 0, 307)
-    assert all(np.array_equal(a, b[7:]) for a, b in zip(got, want))
+    want = on_a_fresh_thread(chunk, plain, 0)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # sensor counts on both sides of the shapes where OpenBLAS changes kernels
 KERNEL_EDGE_SENSORS = (1, 2, 3, 10, 12, 14, 17, 20, 24)
-# one-trial, shifted and block-crossing chunks of trials 0..2^15-1
-SPLIT_CHUNKS = ((0, 1), (17, 1), (16383, 1), (16384, 1), (5, 300), (16380, 10), (16000, 2000))
+# runs of up to 2^15 trials whose last block is short: one trial, either
+# side of a width step, and in the first block or the second
+SHORT_RUNS = (1, 17, 300, 1023, 1025, 16383, 16385, 17408, 18384, 32767)
 
 
 def chunk_scores(configs):
-    """Per config: (phi, v) of two whole-block chunks, then of every split chunk."""
+    """Per config: (phi, v) of two whole blocks, then of each short run's last block."""
+    size = harness._STREAM_BLOCK
     out = []
     for config in configs:
-        width = harness._WIDTH
-        whole = [chunk(config, start, width)[:2] for start in (0, width)]
-        parts = [chunk(config, *split)[:2] for split in SPLIT_CHUNKS]
+        whole = [chunk(replace(config, trials=2 * size), block)[:2] for block in (0, 1)]
+        parts = [chunk(replace(config, trials=m), (m - 1) // size)[:2] for m in SHORT_RUNS]
         out.append(([np.concatenate(s) for s in zip(*whole)], parts))
     return out
 
 
 def check_chunk_scores(scores):
+    size = harness._STREAM_BLOCK
     for (phi, v), parts in scores:
-        for (start, count), (part_phi, part_v) in zip(SPLIT_CHUNKS, parts):
-            assert np.array_equal(part_phi, phi[start : start + count]), (start, count)
-            assert np.array_equal(part_v, v[start : start + count]), (start, count)
+        for m, (part_phi, part_v) in zip(SHORT_RUNS, parts):
+            start = (m - 1) // size * size
+            assert np.array_equal(part_phi, phi[start:m]), m
+            assert np.array_equal(part_v, v[start:m]), m
 
 
 def in_one_blas_thread(script, payload):
@@ -607,7 +628,7 @@ def narrow_product_mismatches(ns):
     trial-major ``z`` in a wide scratch buffer, then ``A @ d`` from the
     sensor-major result, each written into a view of a full-width buffer.
     """
-    full = harness._WIDTH
+    full = harness._STREAM_BLOCK
     found = []
     for n in ns:
         rng = np.random.default_rng([81, n])
@@ -681,17 +702,18 @@ def reference_draws(config, start, count):
     return [np.concatenate(role)[lo : lo + count] for role in zip(*parts)]
 
 
-def reference_observations(config, start, count, draws=None):
-    """Trials built the plain way: trial-major rows, then a masked attack add."""
+def reference_deviations(config, start, count, draws=None):
+    """(deviations, attacked, clean deviations) of trials built the plain way:
+    trial-major rows, then a masked attack add."""
     u, z, offsets = reference_draws(config, start, count) if draws is None else draws
     attacked = u < config.attack_prior
     if count == 1:  # a matrix-matrix BLAS path, as the harness's full-width product
         z = np.concatenate((z, z))
-    clean = config.model.mean + (z @ config.model.chol.T)[:count]
-    xs = clean.copy()
+    clean = (z @ config.model.chol.T)[:count]
+    ds = clean.copy()
     for col, j in enumerate(config.attack.targets):
-        xs[attacked, j] += offsets[attacked, col]
-    return xs, attacked, clean
+        ds[attacked, j] += offsets[attacked, col]
+    return ds, attacked, clean
 
 
 # chunks inside one block, one-trial chunks, and chunks that cross blocks
@@ -706,40 +728,39 @@ def test_injection_matches_the_trial_major_reference(kind, targets):
         kind=kind, am=1.25, targets=Coalition.of(targets, 2),
         sigma_a=0.7 if kind == "B" else None, um=2.0 if kind == "C" else None,
     )
-    config = ExperimentConfig(model=model, attack=attack, trials=400, seed=31)
+    config = ExperimentConfig(model=model, attack=attack, trials=40_005, seed=31)
     for start, count in CHUNKS:
-        xs, attacked = trial_observations(config, start, count)
-        want, want_attacked, clean = reference_observations(config, start, count)
-        assert xs.shape == (count, 2)
+        ds, attacked = trial_deviations(config, start, count)
+        want, want_attacked, clean = reference_deviations(config, start, count)
+        assert ds.shape == (count, 2)
         assert np.array_equal(attacked, want_attacked)
         assert count < 10 or 0 < np.count_nonzero(attacked) < count
-        assert np.array_equal(xs, want)
+        assert np.array_equal(ds, want)
         # clean trials carry no offset, and no sensor outside the targets does
-        assert np.array_equal(xs[~attacked], clean[~attacked])
+        assert np.array_equal(ds[~attacked], clean[~attacked])
         others = [j for j in range(2) if j not in targets]
-        assert np.array_equal(xs[:, others], clean[:, others])
+        assert np.array_equal(ds[:, others], clean[:, others])
 
 
 @pytest.mark.parametrize("kind", ["B", "C"])
 def test_a_wide_model_matches_the_reference_across_blocks(kind):
-    config = kind_config(6, kind, 32)
+    config = replace(kind_config(6, kind, 32), trials=40_005)
     for start, count in CHUNKS:
-        xs, attacked = trial_observations(config, start, count)
-        want, want_attacked, _ = reference_observations(config, start, count)
+        ds, attacked = trial_deviations(config, start, count)
+        want, want_attacked, _ = reference_deviations(config, start, count)
         assert np.array_equal(attacked, want_attacked)
-        assert np.array_equal(xs, want)
+        assert np.array_equal(ds, want)
 
 
-def reference_scores(config, xs):
-    """(phi, v) of trial-major observations, in the harness's order of operations.
+def reference_scores(config, d):
+    """(phi, v) of trial-major deviations, in the harness's order of operations.
 
     A @ d spans a full-width block of trials, zeros after these, since BLAS
     picks its kernel, and so its rounding, by the shapes.
     """
     i = config.sensor_under_test
     c, a, half_precision, half_log_var = harness._scoring_form(config.model, i)
-    d = xs - config.model.mean
-    full = np.zeros((config.model.n, harness._WIDTH))
+    full = np.zeros((config.model.n, harness._STREAM_BLOCK))
     full[:, : len(d)] = d.T
     g = (a @ full)[:, : len(d)] * d.T
     phi = g[0]
@@ -760,43 +781,46 @@ def test_a_zero_draw_is_attacked_and_offsets_by_am(monkeypatch, kind, prior):
         sigma_a=0.7 if kind == "B" else None, um=2.0 if kind == "C" else None,
     )
     config = ExperimentConfig(
-        model=model, attack=attack, sensor_under_test=1, trials=400, attack_prior=prior,
-        seed=31,
+        model=model, attack=attack, sensor_under_test=1, trials=2 * STREAM_BLOCK + 1,
+        attack_prior=prior, seed=31,
     )
-    stream = harness._TrialStream
+    block_generator = harness._block_generator
 
-    def zeroed(seed, role, start, count):
+    def zeroed(seed, block, role):
         # every fourth trial's label uniform and offsets are drawn as 0.0
-        real = stream(seed, role, start, count)
+        real = block_generator(seed, block, role)
         if role == harness._NORMALS:
             return real
-        zero = (start + np.arange(count)) % 4 == 0
+
+        def zero(out):
+            return (block * STREAM_BLOCK + np.arange(len(out))) % 4 == 0
 
         class Zeroed:
             def random(self, out):
                 real.random(out=out)
-                out[zero] = 0.0
+                out[zero(out)] = 0.0
 
             def standard_normal(self, out):
                 real.standard_normal(out=out)
-                out[zero] = 0.0
+                out[zero(out)] = 0.0
 
         return Zeroed()
 
-    monkeypatch.setattr(harness, "_TrialStream", zeroed)
+    monkeypatch.setattr(harness, "_block_generator", zeroed)
+    scores = trial_scores(config)
     for start, count in CHUNKS[:-1]:
         zero = (start + np.arange(count)) % 4 == 0
         u, z, offsets = reference_draws(config, start, count)
         u[zero] = 0.0
         offsets[zero] = attack.am
-        want, want_attacked, _ = reference_observations(config, start, count, (u, z, offsets))
+        want, want_attacked, _ = reference_deviations(config, start, count, (u, z, offsets))
         assert want_attacked[zero].all()
         if prior < 1e-299:
             assert np.array_equal(want_attacked, zero)
-        xs, attacked = trial_observations(config, start, count)
+        ds, attacked = trial_deviations(config, start, count)
         assert np.array_equal(attacked, want_attacked)
-        assert np.array_equal(xs, want)
-        phi, v, attacked = chunk(config, start, count)
+        assert np.array_equal(ds, want)
+        phi, v, attacked = (a[start : start + count] for a in scores)
         want_phi, want_v = reference_scores(config, want)
         assert np.array_equal(attacked, want_attacked)
         assert np.array_equal(phi, want_phi)
@@ -819,26 +843,26 @@ def test_the_stream_follows_the_model_and_the_attack_law(n, kind):
     config = ExperimentConfig(
         model=model, attack=attack, trials=m, attack_prior=prior, seed=4242
     )
-    xs, attacked = trial_observations(config, 0, m)
+    ds, attacked = trial_deviations(config, 0, m)
     # the labels and normals do not depend on the attack
-    plain, attacked_again = trial_observations(
+    plain, attacked_again = trial_deviations(
         replace(config, attack=AttackSpec(kind="A", am=0.0, targets=targets)), 0, m
     )
     assert np.array_equal(attacked, attacked_again)
     k = np.count_nonzero(attacked)
     assert abs(k / m - prior) <= 5 * math.sqrt(prior * (1 - prior) / m)
 
-    d = xs[~attacked] - model.mean
+    d = ds[~attacked]
     var = np.diag(model.cov)
     assert np.all(np.abs(d.mean(axis=0)) <= 5 * np.sqrt(var / len(d)))
     # E[d_a d_b] = S_ab, with variance S_aa S_bb + S_ab^2
     se = np.sqrt((np.outer(var, var) + model.cov**2) / len(d))
     assert np.all(np.abs(d.T @ d / len(d) - model.cov) <= 5 * se)
 
-    assert np.array_equal(xs[~attacked], plain[~attacked])
+    assert np.array_equal(ds[~attacked], plain[~attacked])
     others = [j for j in range(n) if j not in targets]
-    assert np.array_equal(xs[:, others], plain[:, others])
-    shifts = (xs - plain)[attacked][:, list(targets)].ravel()
+    assert np.array_equal(ds[:, others], plain[:, others])
+    shifts = (ds - plain)[attacked][:, list(targets)].ravel()
     if kind == "A":
         assert np.allclose(shifts, am, rtol=0.0, atol=1e-12)
         return
@@ -853,12 +877,30 @@ def test_the_stream_follows_the_model_and_the_attack_law(n, kind):
     assert abs(second - spread) <= 5 * math.sqrt(fourth / shifts.size)
 
 
+def test_a_constant_offset_builds_no_offsets_generator(monkeypatch):
+    # building a block's generator takes about 12 us, 1-2% of a two-sensor
+    # chunk, so only attacks that draw their offsets build one
+    roles = []
+    block_generator = harness._block_generator
+
+    def recording(seed, block, role):
+        roles.append(role)
+        return block_generator(seed, block, role)
+
+    monkeypatch.setattr(harness, "_block_generator", recording)
+    for kind, want in (("A", False), ("B", True), ("C", True)):
+        roles.clear()
+        trial_scores(replace(kind_config(3, kind, 95), trials=2 * STREAM_BLOCK + 1))
+        assert roles.count(harness._LABELS) == roles.count(harness._NORMALS) == 3
+        assert roles.count(harness._OFFSETS) == (3 if want else 0), kind
+
+
 def test_blocks_and_roles_draw_different_values():
     draws = set()
     for block in range(4):
         for role in range(3):
             out = np.empty(8)
-            harness._TrialStream(7, role, block * STREAM_BLOCK, 8).random(out=out)
+            harness._block_generator(7, block, role).random(out=out)
             draws.add(tuple(out))
     assert len(draws) == 12
 
@@ -873,11 +915,11 @@ def test_linear_statistic_reaches_the_bayes_error_on_table2():
     for index, (name, spec) in enumerate(suite.experiments):
         config = spec.to_config(experiment_seed(suite.seed, index))
         model = config.model
-        xs, attacked = trial_observations(config, 0, trials)
+        ds, attacked = trial_deviations(config, 0, trials)
         shift = np.zeros(model.n)
         shift[list(config.attack.targets)] = config.attack.am
         w = np.linalg.solve(model.cov, shift)
-        _, pe = optimize_exact((xs - model.mean) @ w, attacked)
+        _, pe = optimize_exact(ds @ w, attacked)
         exact = float(ndtr(-0.5 * math.sqrt(shift @ w)))
         se = math.sqrt(exact * (1.0 - exact) / trials)
         assert abs(pe - exact) <= 5 * se, (name, pe, exact)

@@ -29,7 +29,7 @@ from shaploc import (
 )
 from shaploc import harness
 from shaploc.cli import main
-from shaploc.harness import _COUNT_BLOCK, _TRIAL_CHUNK
+from shaploc.harness import _COUNT_BLOCK, _STREAM_BLOCK
 
 from harness_helpers import optimize_exact, trial_scores
 
@@ -45,7 +45,7 @@ def pool(monkeypatch):
         yield own
 
 
-def three_sensor_config(kind, threshold_mode="exact", trials=4 * _TRIAL_CHUNK + 5):
+def three_sensor_config(kind, threshold_mode="exact", trials=4 * _STREAM_BLOCK + 5):
     model = GaussianModel(
         [0.5, -1.0, 2.0], [[2.0, 0.6, -0.3], [0.6, 1.0, 0.4], [-0.3, 0.4, 1.5]]
     )
@@ -91,7 +91,7 @@ def test_no_result_shares_a_threads_kept_scratch(pool, monkeypatch, pooled):
     monkeypatch.setattr(harness, "_chunk_buffers", recording)
     if not pooled:
         monkeypatch.setattr(harness, "_POOL", None)
-    for trials in (300, 3 * _TRIAL_CHUNK + 5):
+    for trials in (300, 3 * _STREAM_BLOCK + 5):
         config = three_sensor_config("B", trials=trials)
         results = list(trial_scores(config))
         results += [c for classes in harness._simulate_classes(config) for c in classes]
@@ -138,9 +138,7 @@ def test_more_workers_than_cores_and_fast_switching_give_the_same_bits(monkeypat
         monkeypatch.setattr(harness, "_POOL", many)
         sys.setswitchinterval(1e-6)
         try:
-            with monkeypatch.context() as patch:
-                patch.setattr(harness, "_TRIAL_CHUNK", 997)
-                got_scores = trial_scores(config)
+            got_scores = trial_scores(config)
             got = run_experiment(config)
         finally:
             sys.setswitchinterval(interval)
@@ -189,19 +187,19 @@ def run_a_suite_with_a_failing_chunk(monkeypatch, on_a_worker=False):
     failed = threading.Event()
     simulate_chunk = harness._simulate_chunk
 
-    def fail_a_chunk(config, start, count):
+    def fail_a_chunk(config, block):
         if config.attack.am == 2.0:
             on_the_caller = threading.current_thread() is threading.main_thread()
-            if (on_a_worker and not on_the_caller) or (not on_a_worker and start == _TRIAL_CHUNK):
+            if (on_a_worker and not on_the_caller) or (not on_a_worker and block == 1):
                 failed_on.append(threading.current_thread())
                 failed.set()
                 raise RuntimeError("chunk failed")
             if on_a_worker and not failed.wait(30):
                 raise RuntimeError("no worker took a chunk")
-        return simulate_chunk(config, start, count)
+        return simulate_chunk(config, block)
 
     monkeypatch.setattr(harness, "_simulate_chunk", fail_a_chunk)
-    trials = 3 * _TRIAL_CHUNK
+    trials = 3 * _STREAM_BLOCK
     cfg = SuiteConfig(experiments=tuple(
         (name, ExperimentSpec(attack_type="A", am=am, trials=trials))
         for name, am in (("first", 1.0), ("bad", 2.0), ("last", 3.0))
@@ -331,9 +329,9 @@ def in_order(order):
 )
 def test_chunk_completion_order_changes_no_result(monkeypatch, order, kind, mode):
     # Each chunk reserves its class slices when it finishes scoring, so the
-    # order of the chunks decides where each one's scores lie in its class
-    config = three_sensor_config(kind, mode, trials=9 * 997 + 5)
-    monkeypatch.setattr(harness, "_TRIAL_CHUNK", 997)
+    # order of the chunks, five blocks, decides where each one's scores lie
+    # in its class
+    config = three_sensor_config(kind, mode)
     monkeypatch.setattr(harness, "_POOL", None)
     phi, v, labels = trial_scores(config)
     want = run_experiment(config)
@@ -346,7 +344,6 @@ def test_chunk_completion_order_changes_no_result(monkeypatch, order, kind, mode
             assert np.array_equal(att, np.sort(scores[labels]))
             assert np.array_equal(clean, np.sort(scores[~labels]))
         assert run_experiment(config) == want
-        monkeypatch.setattr(harness, "_TRIAL_CHUNK", _TRIAL_CHUNK)
         assert run_a_suite_with_a_failing_chunk(monkeypatch)
 
 
@@ -359,7 +356,7 @@ def _experiment_in_child(config, conn):
     "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
 )
 def test_a_forked_child_runs_experiments():
-    config = three_sensor_config("A", trials=3 * _TRIAL_CHUNK)
+    config = three_sensor_config("A", trials=3 * _STREAM_BLOCK)
     # the parent's workers now exist and wait for work
     want = run_experiment(config)
     ctx = multiprocessing.get_context("fork")
