@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -13,11 +13,14 @@ class Coalition:
 
     ``bits`` is the membership mask (bit j set iff sensor j is a member) and
     ``n`` is the universe size.  Instances are immutable.  Every public
-    constructor validates its arguments.
+    constructor validates its arguments.  The member count is stored when
+    the coalition is built, so ``len`` reads it rather than recounting the
+    mask; it takes no part in equality, hashing or the repr.
     """
 
     bits: int
     n: int
+    _size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # accept numpy integers without letting them poison bit arithmetic,
@@ -30,6 +33,7 @@ class Coalition:
             raise ValueError(
                 f"bit mask {self.bits:#x} does not fit a universe of size {self.n}"
             )
+        object.__setattr__(self, "_size", self.bits.bit_count())
 
     @classmethod
     def of(cls, indices: Iterable[int], n: int) -> "Coalition":
@@ -51,13 +55,14 @@ class Coalition:
         s = object.__new__(cls)
         _set_bits(s, bits)
         _set_n(s, n)
+        _set_size(s, bits.bit_count())
         return s
 
     def __contains__(self, i: int) -> bool:
         return 0 <= i < self.n and bool((self.bits >> i) & 1)
 
     def __len__(self) -> int:
-        return self.bits.bit_count()
+        return self._size
 
     def __iter__(self) -> Iterator[int]:
         bits = self.bits
@@ -74,3 +79,4 @@ class Coalition:
 # half the time of object.__setattr__
 _set_bits = Coalition.bits.__set__
 _set_n = Coalition.n.__set__
+_set_size = Coalition._size.__set__

@@ -361,9 +361,11 @@ def _simulate_classes(config: ExperimentConfig) -> tuple[list[np.ndarray], list[
             a, front = front, front + attacked_at.size
             back -= clean_at.size
             c = back
+        # the indices are in range, and "clip" lets take write into out
+        # directly, where the default "raise" would buffer it
         for at, lo in ((attacked_at, a), (clean_at, c)):
-            phi.take(at, out=scores[0, lo : lo + at.size])
-            v.take(at, out=scores[1, lo : lo + at.size])
+            phi.take(at, out=scores[0, lo : lo + at.size], mode="clip")
+            v.take(at, out=scores[1, lo : lo + at.size], mode="clip")
 
     _run_all(run, range(-(-m // _STREAM_BLOCK)))
     if front != back:

@@ -113,9 +113,9 @@ def _check_universe(n: int) -> None:
 
 
 # a universe of at most this many coalitions builds them once per process
-# and keeps them, about 90 bytes each: 1.4 MiB at n = 14, 2.8 MiB for every
+# and keeps them, about 96 bytes each: 1.5 MiB at n = 14, 3 MiB for every
 # n up to 14.  Larger universes build each coalition as it is handed out,
-# since keeping all 2^24 would take about 1.4 GiB.  Coalitions are frozen,
+# since keeping all 2^24 would take about 1.5 GiB.  Coalitions are frozen,
 # so every caller can share them.
 _KEPT_COALITIONS = 1 << 14
 
@@ -251,6 +251,13 @@ def gaussian_shapley_form(model: GaussianModel, i: int) -> tuple[float, np.ndarr
     return float(np.add.reduce(weights * half_log_var[last, 0])), form
 
 
+# _transform takes the excluded coalitions a span of at most _SPAN at a time,
+# and the differences of as many sensors as fill _BUFFER doubles at once, so
+# a span's slice of the table (128 KiB) and the buffer (256 KiB) stay in cache
+_SPAN = 1 << 13
+_BUFFER = 1 << 15
+
+
 def _transform(table: np.ndarray, sensors, weights: np.ndarray) -> np.ndarray:
     """Weighted sums of v(S + i) - v(S) over coalitions S excluding i.
 
@@ -258,17 +265,44 @@ def _transform(table: np.ndarray, sensors, weights: np.ndarray) -> np.ndarray:
     ``weights`` has one entry per excluded coalition in (n-1)-bit counting
     order.  Returns one sum per sensor in ``sensors``.
 
-    The weighted differences fill one contiguous buffer, which numpy sums
-    pairwise in an order fixed by its length 2^(n-1) alone.
+    The excluded coalitions are taken a span at a time.  The span's
+    weighted differences of a group of sensors fill the rows of one buffer,
+    which numpy sums row by row, and the spans' sums are then added in
+    pairs.  numpy's pairwise sum of 2^p doubles splits exact halves down to
+    leaves of 128, so for a span of at least 128 this is the order, and
+    the bits, of one pairwise sum over all 2^(n-1) differences.
     """
-    diffs = np.empty(table.size // 2)
-    phi = np.empty(len(sensors))
-    for r, i in enumerate(sensors):
-        pairs = table.reshape(-1, 2, 1 << i)  # [higher bits, bit i, lower bits]
-        np.subtract(pairs[:, 1], pairs[:, 0], out=diffs.reshape(-1, 1 << i))
-        diffs *= weights
-        phi[r] = np.add.reduce(diffs)
-    return phi
+    half = table.size // 2
+    span = min(half, _SPAN)
+    rows = _BUFFER // span
+    diffs = np.empty((min(rows, len(sensors)), span))
+    sums = np.empty((len(sensors), half // span))
+    for j, lo in enumerate(range(0, half, span)):
+        part = table[2 * lo : 2 * (lo + span)]
+        for g in range(0, len(sensors), rows):
+            group = sensors[g : g + rows]
+            buffer = diffs[: len(group)]
+            for row, i in zip(buffer, group):
+                run = 1 << i  # the masks alternate runs of 2^i without and with bit i
+                if run >= span:  # one run of the span, and its partner 2^i above it
+                    base = (lo >> i << (i + 1)) + (lo & (run - 1))
+                    without = table[base : base + span]
+                    np.subtract(table[base + run : base + run + span], without, out=row)
+                elif 2 <= run <= 8:
+                    # short runs as complex columns, one strided pass per two
+                    # doubles; a complex difference is the difference of each double
+                    pairs = part.reshape(-1, 2, run).view(complex)
+                    out = row.reshape(-1, run).view(complex)
+                    for c in range(run // 2):
+                        np.subtract(pairs[:, 1, c], pairs[:, 0, c], out=out[:, c])
+                else:
+                    pairs = part.reshape(-1, 2, run)  # [higher bits, bit i, lower bits]
+                    np.subtract(pairs[:, 1], pairs[:, 0], out=row.reshape(-1, run))
+            buffer *= weights[lo : lo + span]
+            np.add.reduce(buffer, axis=1, out=sums[g : g + len(group), j])
+    while sums.shape[1] > 1:
+        sums = sums[:, 0::2] + sums[:, 1::2]
+    return sums[:, 0]
 
 
 def shapley_from_values(values, i: int | None = None) -> np.ndarray:

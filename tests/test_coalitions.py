@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -54,6 +55,31 @@ def test_trusted_coalition_equals_a_validated_one():
         trusted, checked = Coalition._trusted(bits, n), Coalition(bits, n)
         assert trusted == checked and hash(trusted) == hash(checked)
         assert list(trusted) == list(checked) and len(trusted) == len(checked)
+
+
+def test_a_coalition_of_any_origin_carries_its_size():
+    s = Coalition(0b10110, 6)
+    made = [
+        Coalition(0b10110, 6),
+        Coalition.of([1, 2, 4], 6),
+        Coalition._trusted(0b10110, 6),
+        dataclasses.replace(Coalition(0b1, 6), bits=0b10110),
+        copy.copy(s),
+        copy.deepcopy(s),
+        pickle.loads(pickle.dumps(s)),
+    ]
+    for c in made:
+        assert len(c) == c.bits.bit_count() == 3
+        assert c == s and hash(c) == hash(s)
+        assert repr(c) == "Coalition(bits=22, n=6)"
+    assert len(dataclasses.replace(s, bits=0b1)) == 1
+    for n, bits in ((0, 0), (1, 1), (24, (1 << 24) - 1), (24, 0b1011 << 20)):
+        for c in (Coalition(bits, n), Coalition._trusted(bits, n)):
+            assert len(c) == bits.bit_count()
+    # the size is not a constructor argument, a match position or a compared field
+    assert Coalition.__match_args__ == ("bits", "n")
+    with pytest.raises(TypeError):
+        Coalition(0b1, 2, 1)
 
 
 def test_pickle_and_deepcopy_round_trip():

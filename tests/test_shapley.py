@@ -643,7 +643,7 @@ def test_transform_matches_brute_force_on_random_tables():
 
 def test_transform_of_a_strided_table_is_the_same_bits():
     rng = np.random.default_rng(21)
-    for n in (1, 2, 9):
+    for n in (1, 2, 9, 16):
         wide = rng.normal(size=(1 << n, 40))
         for column in (wide[:, 7], wide[::-1, 3]):  # a column, and one read backwards
             contiguous = column.copy()
@@ -651,6 +651,44 @@ def test_transform_of_a_strided_table_is_the_same_bits():
             assert np.array_equal(shapley_from_values(column), shapley_from_values(contiguous))
             for i in sorted({0, n // 2, n - 1}):
                 assert np.array_equal(shapley_from_values(column, i), shapley_from_values(contiguous, i))
+
+
+def _same_bits(got, want):
+    """Equal bits, except that a NaN's sign and payload are not compared."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_transform_in_spans_is_one_pairwise_sum_of_each_sensors_differences():
+    # the transform sums 2^(n-1) differences a span at a time; numpy's
+    # pairwise sum of the whole buffer, in one call, must give the same bits.
+    # A numpy whose pairwise tree changes fails this test.
+    import shaploc.shapley as shapley
+
+    rng = np.random.default_rng(24)
+    for n in (15, 16, 18):
+        assert 1 << (n - 1) > shapley._SPAN  # more than one span
+        weights = shapley._pair_weights(n)
+        clean = 1e3 + rng.normal(size=1 << n)
+        one_inf = rng.normal(size=1 << n)
+        one_inf[rng.integers(1 << n)] = -np.inf
+        nonfinite = rng.normal(size=1 << n)
+        nonfinite[rng.choice(1 << n, size=3, replace=False)] = (np.inf, -np.inf, np.nan)
+        zeroed = np.where(rng.random(1 << (n - 1)) < 0.2, weights, 0.0)
+        for table in (clean, one_inf, nonfinite):
+            with np.errstate(invalid="ignore"):
+                want = []
+                for i in range(n):
+                    pairs = table.reshape(-1, 2, 1 << i)
+                    want.append(np.add.reduce((pairs[:, 1] - pairs[:, 0]).reshape(-1) * weights))
+                phi = shapley_from_values(table)
+                assert _same_bits(phi, np.array(want))
+                # one sensor, with the zeroed weights of a truncation
+                i = int(rng.integers(n))
+                pairs = table.reshape(-1, 2, 1 << i)
+                want = np.add.reduce((pairs[:, 1] - pairs[:, 0]).reshape(-1) * zeroed)
+                assert _same_bits(shapley._transform(table, (i,), zeroed), np.array([want]))
+            assert np.isfinite(phi).all() == (table is clean)
 
 
 def test_transform_matches_an_exact_rational_sum():
