@@ -2,8 +2,8 @@
 
 Two cheaper stand-ins for the exact coalition sum:
 
-* truncated_shapley keeps only coalitions passing a predicate and
-  renormalizes the weights over the kept set;
+* truncated_shapley keeps only coalitions passing a predicate, or of at
+  most max_size sensors, and renormalizes the weights over the kept set;
 * sampled_shapley averages marginal contributions over random sensor
   orderings (unbiased, with Monte Carlo error ~ 1/sqrt(permutations)).
 """
@@ -31,7 +31,7 @@ print(f"exact Shapley value of sensor {i}: {exact:.6f}\n")
 
 print("truncation to coalitions of bounded size:")
 for max_size in range(n):
-    approx = truncated_shapley(vf, x, i, lambda s: len(s) <= max_size)
+    approx = truncated_shapley(vf, x, i, max_size=max_size)
     print(f"  |S| <= {max_size}: {approx:>10.6f}   (gap {approx - exact:+.2e})")
 print("  keeping only the empty coalition recovers the single-term score\n")
 

@@ -199,6 +199,10 @@ class GaussianModel:
         holds -ln f_S(x_S) for the coalition with that bit mask (entry 0,
         the empty coalition, is 0).
         """
+        return self._coalition_values(check_observation(x, self._n))
+
+    def _coalition_values(self, x: np.ndarray) -> np.ndarray:
+        """``coalition_values`` of an observation ``check_observation`` returned."""
         n = self._n
         half_log_var, half_precision, gammas = self._chain_factors
         # a trailing axis of length 1 lines the table up with the factors
@@ -208,7 +212,7 @@ class GaussianModel:
         # res[j - k, t] is the residual of sensor j >= k given mask t < 2^k;
         # sensor k's residuals are parked in the rows of its coalitions.
         # A block takes at most 2^(n-1) doubles, and two buffers take turns
-        res = (check_observation(x, n) - self._mean)[:, None, None]
+        res = (x - self._mean)[:, None, None]
         buffers = np.empty((2, 1 << n >> 1))
         for k in range(n - 1):
             half = 1 << k

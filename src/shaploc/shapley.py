@@ -13,8 +13,8 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import compress, cycle, repeat
-from typing import Callable, Iterator, Protocol, runtime_checkable
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class UniverseTooLargeError(ValueError):
 
 
 class EmptyKeptSetError(ValueError):
-    """The truncation predicate rejected every coalition."""
+    """The truncation kept no coalition: its predicate rejected all, or max_size < 0."""
 
 
 @runtime_checkable
@@ -114,9 +114,10 @@ def _check_universe(n: int) -> None:
 
 # a universe of at most this many coalitions builds them once per process
 # and keeps them, about 96 bytes each: 1.5 MiB at n = 14, 3 MiB for every
-# n up to 14.  Larger universes build each coalition as it is handed out,
-# since keeping all 2^24 would take about 1.5 GiB.  Coalitions are frozen,
-# so every caller can share them.
+# n up to 14, and each sensor's selection of them once it is asked for.
+# Larger universes build each coalition as it is handed out, since keeping
+# all 2^24 would take about 1.5 GiB.  Coalitions are frozen, so every
+# caller can share them.
 _KEPT_COALITIONS = 1 << 14
 
 
@@ -126,25 +127,31 @@ def _universe(n: int) -> tuple[Coalition, ...]:
     return tuple(map(Coalition._trusted, range(1 << n), repeat(n)))
 
 
-def _coalitions(n: int, skip: int | None = None) -> Iterator[Coalition]:
+def _masks_without(n: int, skip: int) -> Iterator[int]:
+    """The masks of n sensors without bit ``skip``, increasing."""
+    # mask m of the other n-1 sensors, spread around bit skip, is m + (m & -2^skip)
+    others = range(1 << (n - 1))
+    return map(operator.add, others, map(operator.and_, others, repeat(-1 << skip)))
+
+
+@lru_cache(maxsize=None)
+def _selection(n: int, skip: int) -> tuple[Coalition, ...]:
+    """The kept universe's own coalitions without sensor ``skip``, by increasing mask.
+
+    Built once per (n, skip) and kept: 2^(n-1) references, 64 KiB at n = 14.
+    """
+    return tuple(map(_universe(n).__getitem__, _masks_without(n, skip)))
+
+
+def _coalitions(n: int, skip: int | None = None) -> Iterable[Coalition]:
     """Every coalition of n sensors, or every one without sensor ``skip``, by increasing mask.
 
-    A kept universe hands out its own objects; a larger one builds each
-    coalition as it is handed out and keeps none.
+    A kept universe hands out a kept tuple of its own objects; a larger one
+    builds each coalition as it is handed out and keeps none.
     """
     if 1 << n <= _KEPT_COALITIONS:
-        kept = _universe(n)
-        if skip is None:
-            return iter(kept)
-        run = 1 << skip  # the masks alternate runs of 2^skip without and with bit skip
-        return compress(kept, cycle((True,) * run + (False,) * run))
-    if skip is None:
-        masks = range(1 << n)
-    else:
-        # mask m of the other n-1 sensors, spread around bit skip, is
-        # m + (m & -2^skip); a cycled pattern would hold 2^(skip+1) entries
-        others = range(1 << (n - 1))
-        masks = map(operator.add, others, map(operator.and_, others, repeat(-1 << skip)))
+        return _universe(n) if skip is None else _selection(n, skip)
+    masks = range(1 << n) if skip is None else _masks_without(n, skip)
     return map(Coalition._trusted, masks, repeat(n))
 
 
@@ -154,13 +161,18 @@ def _kept_table(model: GaussianModel, observation: bytes) -> np.ndarray:
 
     At most 2^14 doubles, 128 KiB, in a universe small enough to keep.
     """
-    table = model.coalition_values(np.frombuffer(observation))
+    table = model._coalition_values(np.frombuffer(observation))
     table.setflags(write=False)  # shared with every later call on this observation
     return table
 
 
+def _observation(v: ValueFunction, x):
+    """x checked once per explainer call for a Gaussian value function; as given for any other."""
+    return check_observation(x, v.n) if isinstance(v, GaussianValueFunction) else x
+
+
 def _values(v: ValueFunction, x) -> np.ndarray:
-    """v(S, x) for every coalition S, indexed by bit mask.
+    """v(S, x) for every coalition S, indexed by bit mask; ``x`` is what ``_observation`` returned.
 
     A Gaussian value function is scored by its model's chain-rule kernel;
     any other takes one call per coalition.  In a universe small enough to
@@ -170,18 +182,25 @@ def _values(v: ValueFunction, x) -> np.ndarray:
     n = v.n
     if isinstance(v, GaussianValueFunction):
         if 1 << n > _KEPT_COALITIONS:
-            return v.model.coalition_values(x)
-        return _kept_table(v.model, check_observation(x, n).tobytes())
+            return v.model._coalition_values(x)
+        return _kept_table(v.model, x.tobytes())
     return np.fromiter(map(v, _coalitions(n), repeat(x)), float, 1 << n)
+
+
+@lru_cache(maxsize=4)
+def _pair_sizes(n: int) -> np.ndarray:
+    """Size of each coalition excluding a sensor, in (n-1)-bit counting order."""
+    sizes = np.zeros(1, dtype=np.uint8)
+    for _ in range(n - 1):
+        sizes = np.concatenate((sizes, sizes + 1))  # popcounts of 0 .. 2^(n-1) - 1
+    sizes.setflags(write=False)  # shared by every caller through the cache
+    return sizes
 
 
 @lru_cache(maxsize=4)
 def _pair_weights(n: int) -> np.ndarray:
     """Shapley weight of each coalition excluding a sensor, in (n-1)-bit counting order."""
-    sizes = np.zeros(1, dtype=np.intp)
-    for _ in range(n - 1):
-        sizes = np.concatenate((sizes, sizes + 1))  # popcounts of 0 .. 2^(n-1) - 1
-    weights = np.array([shapley_weight(c, n) for c in range(n)])[sizes]
+    weights = np.array([shapley_weight(c, n) for c in range(n)])[_pair_sizes(n)]
     weights.setflags(write=False)  # shared by every caller through the cache
     return weights
 
@@ -328,31 +347,49 @@ def exact_shapley(v: ValueFunction, x, i: int) -> float:
     n = v.n
     _check_universe(n)
     i = _sensor(i, n)
-    return float(shapley_from_values(_values(v, x), i))
+    return float(shapley_from_values(_values(v, _observation(v, x)), i))
 
 
 def all_shapley(v: ValueFunction, x) -> ShapleyResult:
     """Shapley values of every sensor, evaluating each coalition once."""
     n = v.n
     _check_universe(n)
-    return ShapleyResult(phi=shapley_from_values(_values(v, x)), evaluations=1 << n)
+    table = _values(v, _observation(v, x))
+    return ShapleyResult(phi=shapley_from_values(table), evaluations=1 << n)
 
 
 def truncated_shapley(
-    v: ValueFunction, x, i: int, keep: Callable[[Coalition], bool]
+    v: ValueFunction,
+    x,
+    i: int,
+    keep: Callable[[Coalition], bool] | None = None,
+    *,
+    max_size: int | None = None,
 ) -> float:
-    """Shapley sum restricted to kept coalitions, weights renormalized."""
+    """Shapley sum restricted to kept coalitions, weights renormalized.
+
+    Give exactly one of ``keep``, a predicate called on each coalition
+    without sensor i, and ``max_size``, an integer that keeps the
+    coalitions of at most that many sensors: the bits of
+    ``keep=lambda s: len(s) <= max_size``, with no coalition built.
+    """
+    if (keep is None) == (max_size is None):
+        raise TypeError("give exactly one of keep and max_size")
+    if max_size is not None:
+        max_size = operator.index(max_size)
     n = v.n
     _check_universe(n)
     i = _sensor(i, n)
-    if isinstance(v, GaussianValueFunction):
-        check_observation(x, n)  # before the predicate's 2^(n-1) calls
-    # fromiter takes each answer's truth value, as bool() would
-    kept = np.fromiter(map(keep, _coalitions(n, i)), bool, 1 << (n - 1))
+    x = _observation(v, x)  # before the predicate's 2^(n-1) calls
+    if keep is None:
+        kept = _pair_sizes(n) <= max_size
+    else:
+        # fromiter takes each answer's truth value, as bool() would
+        kept = np.fromiter(map(keep, _coalitions(n, i)), bool, 1 << (n - 1))
     weights = np.where(kept, _pair_weights(n), 0.0)
     mass = weights.sum()
     if mass == 0.0:
-        raise EmptyKeptSetError("truncation predicate kept no coalition")
+        raise EmptyKeptSetError("truncation kept no coalition")
     return float(_transform(_values(v, x), (i,), weights)[0] / mass)
 
 
@@ -384,7 +421,7 @@ def sampled_shapley(
     if isinstance(v, GaussianValueFunction) and 1 << n <= max(
         _KEPT_COALITIONS, _TABLE_PER_PERMUTATION * permutations
     ):
-        table = _values(v, x)
+        table = _values(v, _observation(v, x))
     else:
         cache: dict[int, float] = {0: 0.0}
         trusted = Coalition._trusted

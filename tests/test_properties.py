@@ -476,8 +476,9 @@ def test_kept_universe_and_blocks_give_the_same_bits(n, seed, share):
         with mock.patch.object(shapley, "_KEPT_COALITIONS", 1 << n):
             kept = outcomes()
     finally:
-        if n > 14:  # drop the universe the raised limit kept
+        if n > 14:  # drop the universe the raised limit kept, and its selections
             shapley._universe.cache_clear()
+            shapley._selection.cache_clear()
     with mock.patch.object(shapley, "_KEPT_COALITIONS", 0):
         assert outcomes() == kept
 

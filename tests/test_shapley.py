@@ -270,6 +270,68 @@ def test_truncation_validates_the_observation_before_calling_keep(bad):
     assert calls == []
 
 
+def _truncation(vf, x, i, **how):
+    """The bytes of a truncated value, or the type of its refusal."""
+    try:
+        return np.float64(truncated_shapley(vf, x, i, **how)).tobytes()
+    except EmptyKeptSetError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("n", [*range(1, 15), 16])
+def test_max_size_gives_the_bits_of_the_size_predicate(n):
+    rng = np.random.default_rng(100 + n)
+    model = random_model(n, rng)
+    vf, x = GaussianValueFunction(model), model.sample(rng)
+    for i in sorted({0, n // 2, n - 1}):
+        for k in range(-2, n + 2):
+            want = _truncation(vf, x, i, keep=lambda s: len(s) <= k)
+            assert _truncation(vf, x, i, max_size=k) == want
+            assert _truncation(vf, x, i, max_size=np.int64(k)) == want
+            assert (want is EmptyKeptSetError) == (k < 0)
+
+
+def test_max_size_builds_no_coalition(monkeypatch):
+    import shaploc.shapley as shapley
+
+    built = []
+    trusted = Coalition._trusted
+
+    def counted(cls, bits, n):
+        built.append(bits)
+        return trusted(bits, n)
+
+    monkeypatch.setattr(Coalition, "_trusted", classmethod(counted))
+    rng = np.random.default_rng(49)
+    before = shapley._universe.cache_info(), shapley._selection.cache_info()
+    for n in (13, 16):  # a kept universe and a streamed one
+        model = random_model(n, rng)
+        x = model.sample(rng)
+        assert np.isfinite(truncated_shapley(GaussianValueFunction(model), x, 2, max_size=2))
+    assert (shapley._universe.cache_info(), shapley._selection.cache_info()) == before
+    assert built == []
+
+
+def test_truncation_takes_exactly_one_of_keep_and_max_size_before_any_work():
+    game = RecordingGame(np.random.default_rng(50).normal(size=1 << 4))
+    calls = []
+
+    def keep(s):
+        calls.append(s)
+        return True
+
+    for how in ({}, {"keep": keep, "max_size": 2}, {"max_size": 2.0}, {"max_size": "2"}):
+        with pytest.raises(TypeError):
+            truncated_shapley(game, None, 1, **how)
+    with pytest.raises(TypeError):
+        truncated_shapley(game, None, 1, keep, max_size=1)
+    with pytest.raises(TypeError):  # max_size is keyword-only
+        truncated_shapley(game, None, 1, None, 2)
+    with pytest.raises(EmptyKeptSetError):
+        truncated_shapley(game, None, 1, max_size=-1)
+    assert calls == [] and game.calls == []
+
+
 # ----------------------------------------------------------------------
 # the coalitions handed to a predicate or a value function
 
@@ -336,6 +398,49 @@ def test_a_kept_universe_holds_every_coalition_by_mask():
         assert shapley._universe(n) is kept
 
 
+def test_a_selection_is_one_kept_tuple_of_the_universes_own_objects():
+    import shaploc.shapley as shapley
+
+    for n in range(1, 15):
+        kept = shapley._universe(n)
+        assert shapley._coalitions(n) is kept
+        for i in range(n):
+            chosen = shapley._coalitions(n, i)
+            assert type(chosen) is tuple and shapley._coalitions(n, i) is chosen
+            assert len(chosen) == 1 << (n - 1)
+            assert all(s is kept[s.bits] for s in chosen)
+
+
+def test_a_call_for_one_sensor_builds_only_its_selection():
+    import shaploc.shapley as shapley
+
+    n, i = 12, 7
+    game = random_table_game(n, np.random.default_rng(51))
+    shapley._selection.cache_clear()  # later calls build what they need again
+    truncated_shapley(game, None, i, lambda s: len(s) <= 2)
+    info = shapley._selection.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    shapley._selection(n, i)
+    assert shapley._selection.cache_info().hits == info.hits + 1
+
+
+def test_the_selections_of_14_sensors_take_one_reference_per_coalition():
+    import tracemalloc
+
+    import shaploc.shapley as shapley
+
+    shapley._universe(14)  # the kept one, so the count below is the selections alone
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fresh = [shapley._selection.__wrapped__(14, i) for i in range(14)]
+        size = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert [len(chosen) for chosen in fresh] == [1 << 13] * 14
+    assert size <= 14 * (1 << 13) * 8 + (4 << 10)
+
+
 def test_every_skip_yields_its_masks_in_order(universe):
     import shaploc.shapley as shapley
 
@@ -370,20 +475,25 @@ def test_a_memo_call_builds_no_universe():
     assert shapley._universe.cache_info() == before
 
 
-def test_a_universe_above_the_limit_keeps_nothing():
+def test_a_universe_above_the_limit_keeps_nothing(monkeypatch):
     import shaploc.shapley as shapley
 
-    n = 15
-    assert 1 << n > shapley._KEPT_COALITIONS
-    before = shapley._universe.cache_info()
-    game = random_table_game(n, np.random.default_rng(35))
-    seen = [[], []]
-    for calls in seen:
-        truncated_shapley(game, None, 4, lambda s: calls.append(s) or len(s) <= 1)
-        sampled_shapley(game, None, 4, 3, np.random.default_rng(2))
-    assert shapley._universe.cache_info() == before
-    assert [s.bits for s in seen[0]] == [s.bits for s in seen[1]]
-    assert not any(a is b for a, b in zip(*seen))  # each call built its own
+    def kept():
+        return shapley._universe.cache_info(), shapley._selection.cache_info()
+
+    for n in (15, 14):
+        if n == 14:  # a kept size, with no universe kept
+            monkeypatch.setattr(shapley, "_KEPT_COALITIONS", 0)
+        assert 1 << n > shapley._KEPT_COALITIONS
+        before = kept()
+        game = random_table_game(n, np.random.default_rng(35))
+        seen = [[], []]
+        for calls in seen:
+            truncated_shapley(game, None, 4, lambda s: calls.append(s) or len(s) <= 1)
+            sampled_shapley(game, None, 4, 3, np.random.default_rng(2))
+        assert kept() == before
+        assert [s.bits for s in seen[0]] == [s.bits for s in seen[1]]
+        assert not any(a is b for a, b in zip(*seen))  # each call built its own
 
 
 @pytest.mark.parametrize("i", [0, 17])
@@ -991,13 +1101,13 @@ def test_sampling_scratch_stays_within_one_block():
 
 def _count_tables(monkeypatch):
     calls = []
-    score = GaussianModel.coalition_values
+    score = GaussianModel._coalition_values  # the kernel, past coalition_values' check
 
     def counted(self, x):
         calls.append(self)
         return score(self, x)
 
-    monkeypatch.setattr(GaussianModel, "coalition_values", counted)
+    monkeypatch.setattr(GaussianModel, "_coalition_values", counted)
     return calls
 
 
@@ -1108,3 +1218,28 @@ def test_every_explainer_of_one_observation_scores_one_table(monkeypatch):
     sampled_shapley(vf, x, 3, 1, np.random.default_rng(7))
     assert calls == [model]
     assert [e.hex() for e in exact] == [p.hex() for p in phi.tolist()]
+
+
+def test_each_explainer_call_checks_its_observation_once(monkeypatch):
+    import shaploc.gaussian as gaussian
+    import shaploc.shapley as shapley
+
+    checks = []
+    check = gaussian.check_observation
+
+    def counted(values, n):
+        checks.append(n)
+        return check(values, n)
+
+    monkeypatch.setattr(gaussian, "check_observation", counted)
+    monkeypatch.setattr(shapley, "check_observation", counted)
+    rng = np.random.default_rng(52)
+    for n in (14, 15):  # a kept table and a table scored on every call
+        model = random_model(n, rng)
+        vf, x = GaussianValueFunction(model), model.sample(rng)
+        explainers = (*EXPLAINERS.values(), lambda vf, x: truncated_shapley(vf, x, 3, max_size=2))
+        for k, explain in enumerate(explainers):
+            checks.clear()
+            explain(vf, x + k)  # a new observation
+            explain(vf, x + k)  # the same again, its table kept at n = 14
+            assert checks == [n, n]

@@ -388,7 +388,7 @@ def test_bench_scores_a_table_on_every_timed_call(monkeypatch):
     import shaploc.suite as suite
 
     tables, calls = [], []
-    score, explain = GaussianModel.coalition_values, suite.all_shapley
+    score, explain = GaussianModel._coalition_values, suite.all_shapley
 
     def counted_score(self, x):
         tables.append(self)
@@ -398,7 +398,7 @@ def test_bench_scores_a_table_on_every_timed_call(monkeypatch):
         calls.append(vf)
         return explain(vf, x)
 
-    monkeypatch.setattr(GaussianModel, "coalition_values", counted_score)
+    monkeypatch.setattr(GaussianModel, "_coalition_values", counted_score)
     monkeypatch.setattr(suite, "all_shapley", counted_explain)
     bench([13, 14])
     assert len(calls) > 2 * 9
