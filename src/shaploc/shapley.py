@@ -421,7 +421,7 @@ def sampled_shapley(
     if isinstance(v, GaussianValueFunction) and 1 << n <= max(
         _KEPT_COALITIONS, _TABLE_PER_PERMUTATION * permutations
     ):
-        table = _values(v, _observation(v, x))
+        table = _values(v, check_observation(x, n))
     else:
         cache: dict[int, float] = {0: 0.0}
         trusted = Coalition._trusted

@@ -436,7 +436,8 @@ def test_experiment_never_scores_the_coalition_table(monkeypatch):
     def refuse(self, x):
         raise AssertionError("the harness built a coalition table")
 
-    monkeypatch.setattr(GaussianModel, "coalition_values", refuse)
+    for table_path in ("coalition_values", "_coalition_values"):
+        monkeypatch.setattr(GaussianModel, table_path, refuse)
     shap, single = run_experiment(random_config(10, 14, 4, 2000))
     assert shap.trials == single.trials == 2000
 

@@ -14,6 +14,7 @@ from shaploc import (
     GaussianValueFunction,
     UniverseTooLargeError,
     all_shapley,
+    check_observation,
     exact_shapley,
     sampled_shapley,
     shapley_from_values,
@@ -701,7 +702,9 @@ def test_sampled_reads_the_table_only_below_the_crossover(monkeypatch):
     def refuse(*args):
         raise AssertionError("wrong path")
 
-    monkeypatch.setattr(GaussianModel, "coalition_values", refuse)
+    # the engine scores a table through the kernel, which coalition_values wraps
+    for table_path in ("coalition_values", "_coalition_values"):
+        monkeypatch.setattr(GaussianModel, table_path, refuse)
     assert math.isfinite(sampled_shapley(vf, x, 4, memo, np.random.default_rng(1)))
     monkeypatch.undo()
     monkeypatch.setattr(GaussianModel, "value", refuse)
@@ -711,7 +714,8 @@ def test_sampled_reads_the_table_only_below_the_crossover(monkeypatch):
     kept = random_model(14, rng)
     y = kept.sample(rng)
     want = all_shapley(GaussianValueFunction(kept), y)
-    monkeypatch.setattr(GaussianModel, "coalition_values", refuse)
+    for table_path in ("coalition_values", "_coalition_values"):
+        monkeypatch.setattr(GaussianModel, table_path, refuse)
     assert math.isfinite(sampled_shapley(GaussianValueFunction(kept), y, 4, 1, np.random.default_rng(1)))
     assert np.array_equal(all_shapley(GaussianValueFunction(kept), y).phi, want.phi)
 
@@ -1166,8 +1170,8 @@ def test_the_kept_table_is_read_only_and_follows_the_callers_edits():
     rng = np.random.default_rng(46)
     model = random_model(6, rng)
     vf, x = GaussianValueFunction(model), model.sample(rng)
-    table = shapley._values(vf, x)
-    assert shapley._values(vf, x.copy()) is table
+    table = shapley._values(vf, check_observation(x, 6))  # _values takes a checked x
+    assert shapley._values(vf, check_observation(x.copy(), 6)) is table
     with pytest.raises(ValueError):
         table[1] = 0.0
     before = EXPLAINERS["truncated"](vf, x)
